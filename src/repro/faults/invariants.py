@@ -2,7 +2,8 @@
 
 An :class:`InvariantChecker` evaluates a set of registered invariants —
 consistency predicates over namenode metadata, jobtracker task state,
-simulator heaps, and tracer accounting — on a sim-time cadence and/or at
+simulator heaps, tracer accounting, and the channel core's max-min
+allocation — on a sim-time cadence and/or at
 phase boundaries.  Faults are only as trustworthy as the recovery they
 exercise; the checker is what turns "the run finished" into "the run
 finished *and* the metadata reconverged".
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..sim.channel import TIE
 from ..sim.engine import Simulator
 
 __all__ = ["InvariantChecker", "Violation"]
@@ -92,6 +94,7 @@ class InvariantChecker:
         self.register("heaps_bounded", self._inv_heaps_bounded)
         self.register("no_orphan_attempts", self._inv_no_orphans)
         self.register("tracer_accounting", self._inv_tracer)
+        self.register("channel_max_min", self._inv_channel_max_min)
 
     # -- lifecycle (ProbeSet idiom) ----------------------------------------
     def start(self) -> None:
@@ -269,4 +272,54 @@ class InvariantChecker:
                        f"{stats['dropped']} != recorded {stats['recorded']}")
         if stats["dropped"] < 0:
             out.append(f"tracer dropped negative: {stats['dropped']}")
+        return out
+
+    def _inv_channel_max_min(self) -> List[str]:
+        """The channel allocation is max-min fair, checked through the
+        bottleneck property (within the channel's tie tolerance): no
+        constraint carries more than its capacity, every positive-rate
+        demand has a saturated constraint where its rate is maximal, and
+        every uniform-group member sits at its group's share (the group
+        is live and alone on its bottleneck).  Only checked while the
+        queue is settled — a pending pass is about to re-rate."""
+        fabric = getattr(self.system, "fabric", None)
+        if fabric is None:
+            return []
+        q = fabric.channel
+        if q._dirty or q._pass_scheduled:
+            return []
+        load: Dict[object, float] = {}
+        top: Dict[object, float] = {}
+        rated = []
+        out = []
+        for d in q._live:
+            g = d._group
+            if g is None:
+                r = d.rate
+            else:
+                r = g.share()
+                b = g.constraint
+                if d not in g.members or b.group is not g or \
+                        len(b.demands) != len(g.members):
+                    out.append(f"group member {d!r} off its group's clock "
+                               f"on {b.name}")
+            rated.append((d, r))
+            for c in d.constraints:
+                load[c] = load.get(c, 0.0) + r
+                if r > top.get(c, 0.0):
+                    top[c] = r
+        for c, total in load.items():
+            if total * TIE > c.capacity:
+                out.append(f"constraint {c.name} carries {total!r} B/s over "
+                           f"capacity {c.capacity!r}")
+        for d, r in rated:
+            if r <= 0.0:
+                continue  # starved: the retry timer owns it
+            for c in d.constraints:
+                if load[c] >= c.capacity * TIE and r >= top[c] * TIE:
+                    break
+            else:
+                out.append(f"demand {d!r} on "
+                           f"{[c.name for c in d.constraints]} has no "
+                           f"bottleneck")
         return out

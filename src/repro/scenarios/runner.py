@@ -53,16 +53,6 @@ from .spec import ScenarioSpec
 __all__ = ["PhaseStat", "ScenarioResult", "ScenarioRunner",
            "drive_workload", "collect_result"]
 
-#: Channel-core statistics recorded per run.  Kept as the documented key
-#: list of the result's ``channel`` section (benchmark JSON compat); the
-#: values themselves now come from ``HOGSystem.registry.snapshot()``.
-CHANNEL_STATS = ("rebalances", "uniform_groups", "uniform_completions",
-                 "uniform_leaves", "uniform_joins", "uniform_pins",
-                 "cross_partition_passes", "arrival_fast_paths",
-                 "departure_fast_paths", "completion_fast_paths",
-                 "uniform_fast_accepts",
-                 "starvation_rescues", "peak_demands")
-
 
 # -- shared workload-driving helpers (the single copy in the codebase) ----
 def _submission_process(sim, system, schedule: SubmissionSchedule, jobs: list):

@@ -12,10 +12,11 @@ module; they contain no rate arithmetic of their own.
 Design
 ------
 
-**Incremental component passes.**  A demand arrival or departure only
-re-rates the connected component of demands reachable from the
+**Incremental component passes.**  A demand arrival or departure
+re-rates at most the connected component of demands reachable from the
 constraints it touched (demands are vertices; sharing a constraint is an
-edge).  Components are discovered by a walk seeded from the dirty
+edge) — usually much less: see *region passes* below, which fall back to
+this walk.  Components are discovered by a walk seeded from the dirty
 constraints, fused with lazy progress advancement: each demand's
 ``remaining`` is drained up to *now* the moment the walk first sees it.
 Each component gets its **own** filling pass, so a batch of changes in
@@ -47,14 +48,49 @@ resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
 re-checks and re-aims), so slowdowns never allocate timers.
 
-**Per-partition decoupling.**  Constraints carry an optional partition
-key (the fabric tags NICs, WAN legs, and disks with their site).  The
-queue counts, per partition, the live demands whose constraint sets span
-partition boundaries ("bridges": cross-site transfers).  While a
-partition has no bridges — its WAN links are idle — its components are
-structurally confined to the partition: :meth:`FairQueue.partition_decoupled`
-is then a guarantee, checkable in O(1), that no churn inside the site can
-re-rate (or even visit) any other site's demands.
+**Region passes.**  Most dirty batches change a few rates inside a
+large component (shuffle fan-ins and replication pipelines chain many
+demands together through per-node disk and NIC constraints).  A pass
+therefore re-rates a *region*, not the component: R starts as the
+ungrouped demands on the dirty constraints, C is the set of their
+non-slack constraints, and every demand outside R keeps its rate as a
+fixed load on C.  R is progressively filled into the residual capacity
+``capacity - (rates of demands outside R)``; each demand records the
+constraint it froze at (``Demand._bneck``, kept by every path that sets
+a rate).
+
+**The certificate.**  An allocation is max-min fair iff it is feasible
+and every demand has a *bottleneck*: a saturated constraint on which its
+rate is maximal (Bertsekas & Gallager, *Data Networks*, §6.5).  The fill
+keeps C feasible, so a region pass only has to re-establish bottlenecks
+around R.  An R demand frozen at b needs no outside demand on b faster
+than it; any faster one joins R.  An outside demand sharing C whose
+recorded bottleneck the region did not touch passes without a scan (that
+constraint's load and sharers did not move); one bottlenecked on a C
+constraint passes in bulk while that constraint stays saturated with
+nobody faster; any other must find a saturated constraint where it is
+rate-maximal, or join R.  The fill repeats until nothing joins, and
+only then are bottleneck timers armed.
+
+**Fallback to whole-component passes.**  The component walk below still
+runs when the region is *closed* (no outside demand on C: the region is
+whole components, and the component path gives byte-identical results
+and can form uniform groups), when C meets a group-owned constraint
+(clock-managed rates are not plain fixed loads), or when an outside
+sharer is starved.  A fallback decision is taken before any demand is
+completed, so it always re-runs from the original dirty set.
+
+**Tie contract.**  Demands frozen at one bottleneck may get equal rates
+from different float expressions (a region pass and a component pass
+compute the same level differently) and so differ in the last bit.
+Every comparison that can *skip* re-rating — saturation and
+"rate-maximal" in the certificate, the departure and completion fast
+paths, and the runtime ``channel_max_min`` invariant — therefore uses
+one relative tolerance, :data:`TIE` (``x >= y * TIE``: x is at least y
+up to 1e-9).  An exact ``>=`` would judge a last-bit-slower survivor
+strictly slower than its leaver and skip a pass that was needed.  (The
+arrival fast path compares exactly: a last-bit miss there only declines
+the shortcut and runs a pass.)
 
 **Heap batching.**  All wake-ups go through
 :meth:`~repro.sim.engine.Simulator.call_at` (the callback-timer twin of
@@ -71,12 +107,17 @@ event.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import Simulator
 from .events import Event
 
 __all__ = ["Constraint", "Demand", "FairQueue"]
+
+#: The one relative tolerance of every rate comparison that can skip
+#: re-rating (see "Tie contract" above): ``x >= y * TIE`` reads "x is at
+#: least y, up to float order".
+TIE = 1.0 - 1e-9
 
 
 class Constraint:
@@ -85,8 +126,8 @@ class Constraint:
 
     __slots__ = ("name", "capacity", "partition", "demands", "group",
                  "_timer_at", "_timer_version", "_visit", "_residual",
-                 "_ucount", "_bound_sum", "_unbounded", "_slack_below",
-                 "_wit_counts", "_tighter")
+                 "_ucount", "_omax", "_rmax", "_obmin", "_bound_sum",
+                 "_unbounded", "_slack_below", "_wit_counts", "_tighter")
 
     def __init__(self, name: str, capacity: float,
                  partition: Optional[str] = None) -> None:
@@ -94,7 +135,8 @@ class Constraint:
             raise ValueError(f"constraint {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
-        #: Optional decoupling key (the fabric uses the site name).
+        #: Optional site key (the fabric uses the site name); passes
+        #: spanning several count in ``cross_partition_passes``.
         self.partition = partition
         #: Demands currently draining through this constraint (an
         #: insertion-ordered dict used as a set: iteration order must not
@@ -111,6 +153,11 @@ class Constraint:
         #: Per-pass progressive-filling scratch (valid only mid-pass).
         self._residual = 0.0
         self._ucount = 0
+        #: Region-pass scratch: fastest demand outside the region, fastest
+        #: region demand, and slowest outside demand bottlenecked here.
+        self._omax = 0.0
+        self._rmax = 0.0
+        self._obmin = 0.0
         #: Witness-grouped upper bound on the traffic this constraint can
         #: ever see.  Each demand's *witness* here is its tightest other
         #: constraint; all demands sharing a witness w also share w's
@@ -155,7 +202,8 @@ class Demand:
 
     __slots__ = ("size", "remaining", "rate", "constraints", "done",
                  "_last_update", "_fill_mark", "_group", "_group_key",
-                 "_retry_version", "_visit", "_witness", "on_exit")
+                 "_retry_version", "_visit", "_witness", "_bneck",
+                 "on_exit")
 
     def __init__(self, size: float, constraints: Sequence[Constraint],
                  done: Event, now: float) -> None:
@@ -180,8 +228,14 @@ class Demand:
                 for i in range(len(cs)))
         self.done = done
         self._last_update = now
-        #: Progressive-filling pass id this demand was last frozen in.
+        #: Fill id this demand was last frozen in (or, outside a region,
+        #: last certified in — see FairQueue._region_pass).
         self._fill_mark = 0
+        #: The constraint the last rate-setting path froze this demand at
+        #: (its bottleneck), or None when unknown (fresh, or just left a
+        #: uniform group).  Region passes trust it to skip certificate
+        #: scans, so every path that sets ``rate`` must set it too.
+        self._bneck: Optional[Constraint] = None
         #: Uniform group membership (virtual-clock mode), if any.
         self._group: Optional["_UniformGroup"] = None
         #: Virtual-clock reading at which this demand drains (group mode).
@@ -438,6 +492,7 @@ class _UniformGroup:
         for d in self.members:
             d.remaining = max(0.0, d._group_key - self.drained)
             d.rate = share
+            d._bneck = None
             d._last_update = now
             d._group = None
         for c in self.span:
@@ -607,18 +662,19 @@ class FairQueue:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._live: Set[Demand] = set()
+        #: Live demands (insertion-ordered dict used as a set, so readers
+        #: such as the runtime invariant checker iterate reproducibly).
+        self._live: Dict[Demand, None] = {}
         #: Constraints whose demand set changed since the last pass
         #: (insertion-ordered for reproducible component ordering).
         self._dirty: Dict[Constraint, None] = {}
         self._pass_scheduled = False
         self._walk_id = 0
-        #: live demands per partition key.
-        self._partition_demands: Dict[str, int] = {}
-        #: live partition-spanning demands per partition key.
-        self._bridges: Dict[str, int] = {}
+        #: Freeze stamp source (see Demand._fill_mark): one id per fill.
+        self._fill_id = 0
         # -- stats (benchmarks / tests) --
-        #: Filling passes executed (one per dirty component).
+        #: Filling passes executed (one per region pass or dirty
+        #: component).
         self.rebalances = 0
         #: Times the zero-rate starvation guard had to rescue a demand.
         self.starvation_rescues = 0
@@ -633,8 +689,17 @@ class FairQueue:
         #: Filling passes that pinned a live group (members clock-rated,
         #: only the foreign sharers re-rated) instead of dissolving it.
         self.uniform_pins = 0
-        #: Filling passes whose component spanned >1 partition.
+        #: Filling passes whose component (or region) spanned >1
+        #: partition.
         self.cross_partition_passes = 0
+        #: Region passes: dirty-neighbourhood re-ratings certified by the
+        #: bottleneck property (each also counts as one rebalance).
+        self.region_passes = 0
+        #: Certificate rounds that grew a region by failing demands.
+        self.region_expansions = 0
+        #: Batches that fell back to whole-component passes (closed
+        #: region, group-owned constraint, or starved outside sharer).
+        self.region_fallbacks = 0
         #: Arrivals rated exactly from local residuals (no filling pass).
         self.arrival_fast_paths = 0
         #: Departures proven local (freed capacity bound nobody: no pass).
@@ -690,7 +755,7 @@ class FairQueue:
 
     def start(self, demand: Demand) -> None:
         """Enter a pre-built demand into the fluid phase."""
-        self._live.add(demand)
+        self._live[demand] = None
         n = len(self._live)
         if n > self.peak_demands:
             self.peak_demands = n
@@ -709,7 +774,6 @@ class FairQueue:
                 wc[w] = k + 1
                 if w.capacity < c.capacity:
                     c._tighter += 1
-        self._account_partitions(demand, +1)
         # Delta-driven arrival: when the demand lands wholly inside one
         # live uniform group's span (plus fresh private constraints), it
         # joins the group's virtual clock directly — no dirty marks, no
@@ -778,51 +842,14 @@ class FairQueue:
         if bottleneck is None:
             return False
         demand.rate = r
+        demand._bneck = bottleneck
         self.arrival_fast_paths += 1
         self._arm_bottleneck_timer(bottleneck, demand.remaining / r)
         return True
 
-    def _account_partitions(self, demand: Demand, delta: int) -> None:
-        """Maintain per-partition demand and bridge counts.
-
-        A demand is a *bridge* for partition p when its constraint set is
-        not wholly contained in p (it spans partitions, or touches an
-        unpartitioned constraint) — while any bridge is live, p's
-        decoupling guarantee is off."""
-        first: Optional[str] = None
-        extra: Optional[List[str]] = None
-        bridged = False
-        for c in demand.constraints:
-            p = c.partition
-            if p is None:
-                bridged = True
-            elif first is None:
-                first = p
-            elif p != first:
-                bridged = True
-                if extra is None:
-                    extra = [p]
-                elif p not in extra:
-                    extra.append(p)
-        if first is None:
-            return
-        parts = [first] if extra is None else [first] + extra
-        for p in parts:
-            n = self._partition_demands.get(p, 0) + delta
-            if n > 0:
-                self._partition_demands[p] = n
-            else:
-                self._partition_demands.pop(p, None)
-            if bridged:
-                b = self._bridges.get(p, 0) + delta
-                if b > 0:
-                    self._bridges[p] = b
-                else:
-                    self._bridges.pop(p, None)
-
     def _unregister(self, demand: Demand) -> None:
-        """Shared teardown: indexes, partition accounting, adapter hook."""
-        self._live.discard(demand)
+        """Shared teardown: indexes, adapter hook."""
+        self._live.pop(demand, None)
         witnesses = demand._witness
         for i, c in enumerate(demand.constraints):
             c.demands.pop(demand, None)
@@ -841,7 +868,6 @@ class FairQueue:
                         c._bound_sum = 0.0  # reset float drift at idle
                 if w.capacity < c.capacity:
                     c._tighter -= 1
-        self._account_partitions(demand, -1)
         demand._retry_version += 1
         if demand.on_exit is not None:
             demand.on_exit(demand)
@@ -896,7 +922,7 @@ class FairQueue:
                 load += rt
                 if rt > maxr:
                     maxr = rt
-            if maxr >= rate and load >= c.capacity * (1.0 - 1e-9):
+            if maxr >= rate * TIE and load >= c.capacity * TIE:
                 return False  # could have been a survivor's bottleneck
         return True
 
@@ -920,12 +946,6 @@ class FairQueue:
     def active_demands(self) -> int:
         """Number of demands currently draining."""
         return len(self._live)
-
-    def partition_decoupled(self, partition: str) -> bool:
-        """True while no live demand bridges ``partition`` to anything
-        outside it — churn inside the partition then provably cannot
-        touch any other partition's rates."""
-        return self._bridges.get(partition, 0) == 0
 
     # -- fluid dynamics -------------------------------------------------------
     def _mark_dirty(self) -> None:
@@ -962,13 +982,16 @@ class FairQueue:
         self.sim.call_at(self.sim.now + self.STARVATION_RETRY, retry)
 
     def _rebalance(self) -> None:
-        """Re-rate every component reachable from the dirty constraints.
+        """Re-rate the demands the dirty constraints can move.
 
-        Each component is walked, advanced, drained, and progressively
-        filled *independently*, so a same-instant batch of changes across
-        decoupled sites runs one small pass per site — and each pass can
-        still hit the uniform fast path.  Visiting is recorded by stamping
-        demands/constraints with a batch id (no per-pass hash sets)."""
+        A region pass (:meth:`_region_pass`) handles the batch when it can
+        certify its result; otherwise every component reachable from the
+        dirty constraints is re-rated.  Each component is walked,
+        advanced, drained, and progressively filled *independently*, so a
+        same-instant batch of changes across decoupled sites runs one
+        small pass per site — and each pass can still hit the uniform fast
+        path.  Visiting is recorded by stamping demands/constraints with a
+        batch id (no per-pass hash sets)."""
         if not self._dirty:
             return
         # A dirty constraint owned by a uniform group does NOT dissolve
@@ -983,6 +1006,9 @@ class FairQueue:
                     len(c.demands) != len(g.members):
                 g.dissolve()
         seeds, self._dirty = self._dirty, {}
+        if self._region_pass(seeds):
+            return
+        self.region_fallbacks += 1
         self._walk_id += 1
         wid = self._walk_id
         for seed in seeds:
@@ -995,6 +1021,266 @@ class FairQueue:
                 for d in list(seed.demands):
                     if d._visit != wid and d._group is None:
                         self._fill_component(d, wid)
+
+    def _region_pass(self, seeds: Dict[Constraint, None]) -> bool:
+        """Re-rate only the demands on ``seeds``, certified locally.
+
+        The region R starts as the ungrouped demands on the dirty
+        constraints; C is the set of their non-slack constraints.  Every
+        demand outside R keeps its rate as a fixed load on C, and R is
+        progressively filled into the residual capacity.  The bottleneck
+        property then certifies the result (see the module docstring);
+        demands that fail it join R and the fill repeats.  Returns False,
+        having changed nothing but lazy progress and scratch state, when
+        the whole-component path must run instead: R is closed (no
+        outside demand on C), C meets a uniform group, or an outside
+        sharer is starved."""
+        self._walk_id += 1
+        rid = self._walk_id
+        now = self.sim.now
+        region: List[Demand] = []
+        drained: List[Demand] = []
+        links: List[Constraint] = []
+        fresh: List[Demand] = []
+        for seed in seeds:
+            for d in seed.demands:
+                if d._visit != rid and d._group is None:
+                    d._visit = rid
+                    fresh.append(d)
+        if not fresh:
+            return True  # only clock-managed demands: nothing to re-rate
+        inf = float("inf")
+        first = True
+        expansions = 0
+        while True:
+            if fresh and not self._enter_region(fresh, rid, now, region,
+                                                drained, links):
+                return False
+            self._fill_id += 1
+            fid = self._fill_id
+            for d in drained:
+                d._fill_mark = fid  # leaving: never frozen, never counted
+            # Residual capacity left by the demands outside the region,
+            # and the region's demands per constraint.  An outside demand
+            # whose recorded bottleneck is untouched by the region keeps
+            # it (that constraint's load and sharers did not move); one
+            # bottlenecked on a C constraint is vouched for in bulk there
+            # (``_obmin``); any other is a suspect, scanned after the fill.
+            self._fill_id += 1
+            sid = self._fill_id
+            suspects: List[Demand] = []
+            rlists: List[List[Demand]] = []
+            outside = 0
+            for c in links:
+                load = 0.0
+                omax = 0.0
+                obmin = inf
+                rl: List[Demand] = []
+                for d2 in c.demands:
+                    if d2._visit != rid:
+                        rt = d2.rate
+                        if rt <= 0.0 or d2._group is not None:
+                            return False
+                        load += rt
+                        if rt > omax:
+                            omax = rt
+                        b = d2._bneck
+                        if b is c:
+                            if rt < obmin:
+                                obmin = rt
+                        elif (b is None or b._visit == rid
+                              and not b._unbounded
+                              and b._bound_sum < b._slack_below) \
+                                and d2._fill_mark != sid:
+                            d2._fill_mark = sid
+                            suspects.append(d2)
+                        outside += 1
+                    elif d2._fill_mark != fid:
+                        rl.append(d2)
+                c._residual = c.capacity - load
+                c._omax = omax
+                c._obmin = obmin
+                c._rmax = 0.0
+                c._ucount = len(rl)
+                rlists.append(rl)
+            if first:
+                if not outside:
+                    return False
+                first = False
+            bnecks = self._region_fill(len(region), links, rlists, fid)
+            if bnecks is None:
+                return False
+            # Certificate.  (1) An R demand frozen at b needs every
+            # outside demand on b to be no faster than it.
+            self._fill_id += 1
+            cid = self._fill_id
+            for link, level, _ in bnecks:
+                if link._omax * TIE > level:
+                    for e in link.demands:
+                        if e._visit != rid and e._fill_mark != cid and \
+                                e.rate * TIE > level:
+                            e._fill_mark = cid
+                            fresh.append(e)
+            # (2) An outside demand frozen at a C constraint keeps it while
+            # that constraint stays saturated with nobody faster; others
+            # must find a saturated constraint where they are maximal.
+            for c in links:
+                obmin = c._obmin
+                if obmin == inf:
+                    continue
+                m = c._omax if c._omax > c._rmax else c._rmax
+                if obmin >= m * TIE and \
+                        c._residual <= c.capacity * (1.0 - TIE):
+                    continue
+                for e in c.demands:
+                    if e._bneck is c and e._visit != rid and \
+                            e._fill_mark != cid:
+                        e._fill_mark = cid
+                        if not self._certify(e, rid):
+                            fresh.append(e)
+            for e in suspects:
+                if e._fill_mark != cid:
+                    e._fill_mark = cid
+                    if not self._certify(e, rid):
+                        fresh.append(e)
+            if not fresh:
+                break
+            expansions += 1
+
+        self.rebalances += 1
+        self.region_passes += 1
+        self.region_expansions += expansions
+        multi_partition = False
+        first_partition: Optional[str] = None
+        for c in links:
+            p = c.partition
+            if p is not None and p != first_partition:
+                if first_partition is None:
+                    first_partition = p
+                else:
+                    multi_partition = True
+                    self.cross_partition_passes += 1
+                    break
+        size = len(region) + len(drained)
+        hist = self.pass_size_hist
+        hist[min(size.bit_length(), len(hist) - 1)] += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("channel", "filling-pass", now, "channel",
+                           args={"size": size, "drained": len(drained),
+                                 "cross_partition": multi_partition})
+        for d in drained:
+            self._unregister(d)
+            if not d.done.triggered:
+                d.done.succeed(d)
+        for link, level, min_remaining in bnecks:
+            self._arm_bottleneck_timer(link, min_remaining / level)
+        return True
+
+    def _enter_region(self, fresh: List[Demand], rid: int, now: float,
+                      region: List[Demand], drained: List[Demand],
+                      links: List[Constraint]) -> bool:
+        """Move ``fresh`` (emptied) into region ``rid``: advance each
+        demand to ``now`` and stamp its constraints (the non-slack ones
+        join C).  False when C meets a uniform group's span."""
+        eps = self.EPSILON
+        for d in fresh:
+            d._visit = rid
+            dt = now - d._last_update
+            if dt > 0.0 and d.rate > 0.0:
+                rem = d.remaining - d.rate * dt
+                d.remaining = rem if rem > 0.0 else 0.0
+            d._last_update = now
+            if d.remaining <= eps:
+                drained.append(d)
+            else:
+                region.append(d)
+            for c in d.constraints:
+                if c._visit != rid:
+                    c._visit = rid
+                    if c._unbounded or c._bound_sum >= c._slack_below:
+                        if c.group is not None:
+                            return False
+                        links.append(c)
+        fresh.clear()
+        return True
+
+    def _region_fill(self, n_region: int, links: List[Constraint],
+                     rlists: List[List[Demand]], fid: int
+                     ) -> Optional[List[tuple]]:
+        """Progressive filling of the region's demands (``rlists[i]`` are
+        those on ``links[i]``) into the residuals in the links' scratch.
+        Returns ``(bottleneck, level, earliest remaining)`` per
+        bottleneck, or None on a degenerate (non-positive) level — the
+        caller falls back."""
+        heap = [(c._residual / c._ucount, i)
+                for i, c in enumerate(links) if c._ucount]
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        bnecks: List[tuple] = []
+        left = n_region
+        while left > 0 and heap:
+            share, i = heappop(heap)
+            link = links[i]
+            n = link._ucount
+            if n == 0:
+                continue
+            cur = link._residual / n
+            if cur > share:
+                heappush(heap, (cur, i))
+                continue
+            if cur <= 0.0:
+                return None
+            min_remaining = float("inf")
+            for d in rlists[i]:
+                if d._fill_mark == fid:
+                    continue
+                d._fill_mark = fid
+                d.rate = cur
+                d._bneck = link
+                if d.remaining < min_remaining:
+                    min_remaining = d.remaining
+                left -= 1
+                for c2 in d.constraints:
+                    r = c2._residual - cur
+                    c2._residual = r if r > 0.0 else 0.0
+                    c2._ucount -= 1
+                    if cur > c2._rmax:
+                        c2._rmax = cur
+            bnecks.append((link, cur, min_remaining))
+        if left > 0:
+            return None
+        return bnecks
+
+    def _certify(self, e: Demand, rid: int) -> bool:
+        """True when outside demand ``e`` has a bottleneck after the
+        region fill: a saturated constraint where its rate is maximal (up
+        to the tie tolerance).  Records it as ``e._bneck``."""
+        rate = e.rate
+        for c in e.constraints:
+            if c._unbounded == 0 and c._bound_sum < c._slack_below:
+                continue  # slack: never saturated
+            if c._visit == rid:
+                if c._residual > c.capacity * (1.0 - TIE):
+                    continue
+                m = c._omax if c._omax > c._rmax else c._rmax
+            else:
+                if c.group is not None:
+                    continue  # clock-managed rates: cannot read them here
+                load = 0.0
+                m = 0.0
+                for d2 in c.demands:
+                    rt = d2.rate
+                    load += rt
+                    if rt > m:
+                        m = rt
+                if load < c.capacity * TIE:
+                    continue
+            if rate >= m * TIE:
+                e._bneck = c
+                return True
+        return False
 
     def _fill_component(self, start: Demand, wid: int) -> None:
         """Walk one component from ``start`` and re-rate it."""
@@ -1145,10 +1431,12 @@ class FairQueue:
         # filling freezes the whole component at that share.
         if best._ucount == len(affected):
             min_remaining = float("inf")
-            pid = self.rebalances
+            self._fill_id += 1
+            fid = self._fill_id
             for d in affected:
                 d.rate = best_share
-                d._fill_mark = pid  # frozen this pass
+                d._bneck = best
+                d._fill_mark = fid  # frozen this pass
                 if d.remaining < min_remaining:
                     min_remaining = d.remaining
             if pinned is not None:
@@ -1281,7 +1569,7 @@ class FairQueue:
                 load += rt
                 if rt > maxr:
                     maxr = rt
-            if maxr >= rate and load + rate >= c.capacity * (1.0 - 1e-9):
+            if maxr >= rate * TIE and load + rate >= c.capacity * TIE:
                 return False
         self.completion_fast_paths += 1
         self._unregister(d)
@@ -1300,7 +1588,8 @@ class FairQueue:
         stale entry is re-pushed with its recomputed share.  Instead of a
         timer per demand, each bottleneck arms one group timer at its
         frozen set's earliest finish."""
-        pid = self.rebalances  # this pass's fill-mark stamp
+        self._fill_id += 1
+        pid = self._fill_id  # this pass's fill-mark stamp
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -1344,6 +1633,7 @@ class FairQueue:
                     continue
                 d._fill_mark = pid
                 d.rate = best_share
+                d._bneck = link
                 if d.remaining < min_remaining:
                     min_remaining = d.remaining
                 remaining_demands -= 1
@@ -1361,4 +1651,5 @@ class FairQueue:
             for d in affected:
                 if d._fill_mark != pid:
                     d.rate = 0.0
+                    d._bneck = None
                     self.ensure_progress(d)

@@ -140,7 +140,11 @@ class Disk:
     def release(self, nbytes: float, label: str = "data") -> None:
         """Return ``nbytes`` previously allocated under ``label``."""
         have = self._usage.get(label, 0.0)
-        if nbytes > have + 1e-6:
+        # A label total is a running float sum bounded by the capacity, so
+        # its rounding residue scales with the capacity, not with what is
+        # left: after a multi-GB history a fixed absolute slack is below
+        # one ulp of the totals the sum passed through.
+        if nbytes > have + 1e-9 * self.capacity:
             raise ValueError(f"releasing {nbytes}B exceeds {label!r} usage {have}B")
         new = have - nbytes
         if new <= 1e-9:

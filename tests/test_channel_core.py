@@ -2,10 +2,16 @@
 
 The centrepiece is a randomized property test comparing the incremental
 engine's allocations against a brute-force O(n²) progressive-filling
-reference over random constraint topologies, plus exact-timestamp tests
-for multi-bottleneck completions, uniform (virtual-clock) groups, the
-slack-constraint shortcut, and per-site partition decoupling.
+reference over random constraint topologies (hypothesis-driven, and a
+seeded submit/abort harness that drives region passes through their
+expansion and fallback paths), plus exact-timestamp tests for
+multi-bottleneck completions, uniform (virtual-clock) groups, the
+slack-constraint shortcut, fast-path tie tolerance, and per-site
+partition decoupling.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +154,82 @@ class TestAgainstBruteForceReference:
             sim.run(until=sim.now + 0.25)  # advance between ops
 
 
+def live_rate(d):
+    return d.rate if d._group is None else d._group.share()
+
+
+def run_region_harness(seed, n_ops):
+    """One seeded random topology under ``n_ops`` submit/abort ops with
+    finite sizes (so bottleneck timers, drains and group clocks fire
+    between ops).  After every op, every live rate must match the
+    brute-force reference.  Returns the queue for counter checks."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    q = FairQueue(sim)
+    n_cons = rng.randint(3, 30)
+    caps = [rng.choice((rng.uniform(20.0, 200.0), 100.0, 50.0))
+            for _ in range(n_cons)]
+    cons = [q.constraint(f"c{i}", cap) for i, cap in enumerate(caps)]
+    live = []  # (demand, constraint-index list)
+    for op in range(n_ops):
+        live = [(d, links) for d, links in live if not d.done.triggered]
+        if live and rng.random() < 0.3:
+            d, _ = live.pop(rng.randrange(len(live)))
+            q.abort(d, RuntimeError("preempted"))
+        else:
+            k = rng.choice((1, 2, 2, 3, 3, 4))
+            links = sorted(rng.sample(range(n_cons), min(k, n_cons)))
+            d = q.submit(rng.uniform(10.0, 2000.0), [cons[c] for c in links])
+            d.done.defused()
+            live.append((d, links))
+        sim.run(until=sim.now)  # flush the same-instant pass
+        live = [(d, links) for d, links in live if not d.done.triggered]
+        expected = reference_max_min([l for _, l in live], caps)
+        for (d, links), want in zip(live, expected):
+            assert live_rate(d) == pytest.approx(want, rel=1e-9), (
+                f"seed {seed} op {op}: demand on {links}")
+        sim.run(until=sim.now + rng.choice((0.0, 0.5, 2.0, 5.0)))
+    return q
+
+
+class TestRegionPass:
+    """Region passes (re-rate the dirty neighbourhood, certify with the
+    bottleneck property, expand where the certificate fails) against
+    brute-force progressive filling."""
+
+    def test_seeded_topologies_match_reference(self):
+        passes = expansions = fallbacks = 0
+        for seed in range(200):
+            q = run_region_harness(seed, 60 + seed % 21)
+            passes += q.region_passes
+            expansions += q.region_expansions
+            fallbacks += q.region_fallbacks
+        assert passes > 0
+        assert expansions > 0
+        assert fallbacks > 0
+
+    def test_region_pass_rates_only_the_dirty_neighbourhood(self):
+        """A chain of five demands linked through shared constraints, each
+        pair bottlenecked at its own level: an arrival at the far end
+        re-rates only its two-demand neighbourhood, not the six-demand
+        component, and stays exact."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        caps = [100.0, 60.0, 100.0, 80.0, 100.0, 100.0]
+        links = [q.constraint(f"l{i}", cap) for i, cap in enumerate(caps)]
+        chain = [q.submit(1e6, [links[i], links[i + 1]]) for i in range(5)]
+        sim.run(until=1.0)
+        passes, hist = q.region_passes, list(q.pass_size_hist)
+        late = q.submit(1e6, [links[5]])
+        sim.run(until=1.0)
+        assert q.region_passes == passes + 1
+        assert q.pass_size_hist[2] == hist[2] + 1  # 2 demands re-rated
+        demand_links = [[i, i + 1] for i in range(5)] + [[5]]
+        want = reference_max_min(demand_links, caps)
+        for d, r in zip(chain + [late], want):
+            assert live_rate(d) == pytest.approx(r, rel=1e-9)
+
+
 class TestSubComponentFastPaths:
     """Arrival/departure re-rating without a filling pass, where exact."""
 
@@ -227,6 +309,59 @@ class TestSubComponentFastPaths:
         # No pass ever walked through the wan: each source formed its own
         # single-bottleneck component (or group) independently.
         assert q.cross_partition_passes == 0
+
+
+def settle_generic(sim, q):
+    """Flush pending passes, then materialise any uniform group so every
+    live demand is a plain, hand-editable generic demand."""
+    sim.run(until=sim.now)
+    for d in list(q._live):
+        if d._group is not None:
+            d._group.dissolve()
+
+
+class TestFastPathTieTolerance:
+    """Demands frozen at one bottleneck may carry rates that differ in
+    the last bit; the departure and completion fast paths must treat such
+    a survivor as tied with the leaver, not as strictly slower."""
+
+    def test_departure_with_one_ulp_slower_survivors_takes_a_pass(self):
+        sim = Simulator()
+        q = FairQueue(sim)
+        c = q.constraint("c", 300.0)
+        a, b, leaver = (q.submit(1e6, [c]) for _ in range(3))
+        settle_generic(sim, q)
+        slower = math.nextafter(100.0, 0.0)
+        a.rate = b.rate = slower
+        leaver.rate = 100.0
+        passes = q.rebalances
+        q.abort(leaver, RuntimeError("preempted"))
+        leaver.done.defused()
+        sim.run(until=sim.now)
+        assert q.departure_fast_paths == 0
+        assert q.rebalances > passes
+        want = reference_max_min([[0], [0]], [300.0])
+        for d, r in zip((a, b), want):
+            assert live_rate(d) == pytest.approx(r, rel=1e-9)
+
+    def test_timer_completion_with_one_ulp_slower_survivors_takes_a_pass(self):
+        sim = Simulator()
+        q = FairQueue(sim)
+        own = q.constraint("own", 1000.0)
+        shared = q.constraint("shared", 300.0)
+        leaver = q.submit(1e6, [own, shared])
+        a, b = (q.submit(1e6, [shared]) for _ in range(2))
+        settle_generic(sim, q)
+        a.rate = b.rate = math.nextafter(100.0, 0.0)
+        leaver.rate = 100.0
+        leaver.remaining = 0.0  # drained: the next timer completes it
+        q._arm_bottleneck_timer(own, 0.0)
+        sim.run(until=sim.now)
+        assert leaver.done.triggered
+        assert q.completion_fast_paths == 0
+        want = reference_max_min([[0], [0]], [300.0])
+        for d, r in zip((a, b), want):
+            assert live_rate(d) == pytest.approx(r, rel=1e-9)
 
 
 class TestMultiBottleneckExactTimestamps:
@@ -392,6 +527,17 @@ class TestSlackShortcut:
         assert c.remaining_now(sim.now) == pytest.approx(500.0 - 2 * 50.0)
 
 
+def partition_decoupled(queue, partition):
+    """True while no live demand bridges ``partition`` to anything outside
+    it (another partition, or an unpartitioned constraint): churn inside
+    the partition then provably cannot re-rate any other demand."""
+    for d in queue._live:
+        parts = {c.partition for c in d.constraints}
+        if partition in parts and len(parts) > 1:
+            return False
+    return True
+
+
 class TestPartitionDecoupling:
     def test_intra_partition_churn_is_decoupled_while_wan_idle(self):
         sim = Simulator()
@@ -402,8 +548,8 @@ class TestPartitionDecoupling:
         q.submit(1000.0, [a1, a2])
         q.submit(1000.0, [b1])
         sim.run(until=0.0)
-        assert q.partition_decoupled("siteA")
-        assert q.partition_decoupled("siteB")
+        assert partition_decoupled(q, "siteA")
+        assert partition_decoupled(q, "siteB")
         assert q.cross_partition_passes == 0
 
     def test_cross_site_demand_bridges_partitions(self):
@@ -415,12 +561,12 @@ class TestPartitionDecoupling:
         b1 = q.constraint("b1", 100.0, partition="siteB")
         d = q.submit(1000.0, [a1, wan_a, wan_b, b1])
         sim.run(until=0.0)
-        assert not q.partition_decoupled("siteA")
-        assert not q.partition_decoupled("siteB")
+        assert not partition_decoupled(q, "siteA")
+        assert not partition_decoupled(q, "siteB")
         sim.run(until=d.done)
         # Bridge gone: both sites decoupled again.
-        assert q.partition_decoupled("siteA")
-        assert q.partition_decoupled("siteB")
+        assert partition_decoupled(q, "siteA")
+        assert partition_decoupled(q, "siteB")
 
 
 class TestGroupCoexistence:

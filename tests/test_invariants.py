@@ -19,7 +19,8 @@ def make_system(**hdfs_overrides):
     """An MR cluster wrapped to look like a HOG system to the checker."""
     h = MRHarness(n_nodes=6, hdfs_config=hog_config(
         replication=3, disk_check_interval=None, **hdfs_overrides))
-    system = SimpleNamespace(namenode=h.namenode, jobtracker=h.jobtracker)
+    system = SimpleNamespace(namenode=h.namenode, jobtracker=h.jobtracker,
+                             fabric=h.fabric)
     return h, system
 
 
@@ -131,6 +132,58 @@ class TestCorruptionDetected:
         assert checker.violation_counts["block_map_bidirectional"] == \
             MAX_STORED + 50
         assert len(checker.violations) == MAX_STORED
+
+
+def settled_channel():
+    """A settled queue on an idle cluster's fabric: a is capped at 30 by
+    c2, b takes c1's other 70, and a four-member uniform group drains
+    through its own disk."""
+    h, system = make_system()
+    q = h.fabric.channel
+    c1 = q.constraint("c1", 100.0)
+    c2 = q.constraint("c2", 30.0)
+    disk = q.constraint("disk", 80.0)
+    a = q.submit(1e9, [c1, c2])
+    b = q.submit(1e9, [c1])
+    members = [q.submit(1e9, [disk]) for _ in range(4)]
+    h.sim.run(until=h.sim.now + 1.0)
+    assert members[0]._group is not None
+    return q, InvariantChecker(h.sim, system), a, b
+
+
+class TestChannelMaxMin:
+    def test_settled_allocation_is_clean(self):
+        _, checker, a, b = settled_channel()
+        assert checker.check("poke") == 0
+        assert (a.rate, b.rate) == (30.0, 70.0)
+
+    def test_lowered_rate_has_no_bottleneck(self):
+        """b slowed by 10%: c1 is no longer saturated, and b has no
+        other constraint to be bottlenecked at."""
+        _, checker, _, b = settled_channel()
+        b.rate *= 0.9
+        assert checker.check("poke") > 0
+        assert checker.violation_counts["channel_max_min"] == 1
+        assert "no bottleneck" in checker.violations[0].detail
+
+    def test_raised_rate_overloads_its_constraint(self):
+        _, checker, _, b = settled_channel()
+        b.rate *= 1.1
+        assert checker.check("poke") > 0
+        assert "over capacity" in checker.violations[0].detail
+
+    def test_group_member_off_the_clock_flagged(self):
+        q, checker, _, _ = settled_channel()
+        member = next(d for d in q._live if d._group is not None)
+        del member._group.members[member]
+        assert checker.check("poke") > 0
+        assert "off its group's clock" in checker.violations[0].detail
+
+    def test_unsettled_queue_is_not_judged(self):
+        q, checker, _, b = settled_channel()
+        b.rate *= 0.9
+        q._mark_dirty()
+        assert checker.check("poke") == 0
 
 
 class TestZeroImpact:

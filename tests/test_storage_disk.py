@@ -1,5 +1,7 @@
 """Tests for the local disk model (capacity, timed I/O, wipe/probe)."""
 
+import random
+
 import pytest
 
 from repro.sim import Simulator
@@ -43,6 +45,24 @@ class TestCapacity:
         disk.allocate(100.0, "hdfs")
         with pytest.raises(ValueError):
             disk.release(200.0, "hdfs")
+
+    def test_release_tolerates_rounding_residue_of_large_totals(self):
+        """A label total that passed through ~9 GB of fractional block
+        sizes keeps a rounding residue of a few ulps of those totals:
+        releasing the last whole block must not be judged an over-release
+        (this crashed datanode replication receives)."""
+        sim, disk = make_disk(capacity=24 * 2**30)
+        block = 64 * 2**20
+        rng = random.Random(10)
+        sizes = [rng.uniform(1e6, block) for _ in range(300)]
+        for n in sizes:
+            disk.allocate(n, "hdfs")
+        disk.allocate(block, "hdfs")
+        for n in sizes:
+            disk.release(n, "hdfs")
+        assert disk.usage_by_label()["hdfs"] < block - 1e-6  # the residue
+        disk.release(block, "hdfs")
+        assert disk.used == pytest.approx(0.0, abs=1e-3)
 
     def test_negative_allocate_rejected(self):
         sim, disk = make_disk()
