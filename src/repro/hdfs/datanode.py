@@ -132,9 +132,10 @@ class Datanode:
         zombie semantics (the namenode keeps crediting a zombie's
         blocks until the disk self-check shuts the daemon down).
 
-        Runs on the callback-timer fast path: each tick re-arms via
-        ``call_after`` with the epoch token captured at :meth:`start`;
-        ``_stop_loops`` bumps the epoch so stale ticks no-op.
+        Runs on the callback-timer fast path: each tick re-arms via the
+        coalescing ``call_at`` (shared with the node's tasktracker ticks)
+        with the epoch token captured at :meth:`start`; ``_stop_loops``
+        bumps the epoch so stale ticks no-op.
         """
         if epoch != self._hb_epoch or not self.is_alive:
             return
@@ -145,8 +146,9 @@ class Datanode:
                 self.host, self.block_report())
             self._next_report = self.sim.now + self.config.block_report_interval
         # Ask per beat: the period adapts to cluster size.
-        self.sim.call_after(
-            self.namenode.heartbeat_interval(), self._hb_tick, epoch)
+        sim = self.sim
+        sim.call_at(sim._now + self.namenode.heartbeat_interval(),
+                    self._hb_tick, epoch)
 
     def _dc_arm(self, epoch: int) -> None:
         """Arm the first disk probe one full interval out (the generator

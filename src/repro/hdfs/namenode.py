@@ -19,6 +19,7 @@ availability until the datanode's disk self-check (if enabled) kills it.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.topology import NetworkTopology
@@ -213,19 +214,19 @@ class Namenode:
         if desc is None or desc.datanode is not datanode:
             self.register_datanode(datanode)
             return
-        desc.last_heartbeat = self.sim.now
+        now = desc.last_heartbeat = self.sim._now
         if not desc.alive:
             desc.alive = True
             self._live_hosts[datanode.host] = None
             self._live_index.add(datanode.host)
             heapq.heappush(self._hb_heap,
-                           (self.sim.now + self.heartbeat_timeout(),
-                            datanode.host))
+                           (now + self.heartbeat_timeout(), datanode.host))
             self.counters.incr("datanodes_reregistered")
             self.process_block_report(datanode.host, datanode.block_report(),
                                       reconcile=True)
             self._rearm_deferred_replications()
-        self._dispatch_invalidations(desc)
+        if self._invalidate_queue:
+            self._dispatch_invalidations(desc)
 
     def _declare_dead(self, desc: DatanodeDescriptor) -> None:
         """Heartbeat timeout fired: drop the node's replicas and queue
@@ -410,7 +411,8 @@ class Namenode:
         queue = self._invalidate_queue.get(desc.host)
         if not queue:
             return
-        batch = list(queue)[:self.config.invalidate_work_per_heartbeat]
+        # Copy only the batch, not the whole backlog (O(limit) per beat).
+        batch = list(islice(queue, self.config.invalidate_work_per_heartbeat))
         for bid in batch:
             del queue[bid]
             desc.datanode.remove_block(bid)

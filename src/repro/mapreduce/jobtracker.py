@@ -224,31 +224,31 @@ class JobTracker:
 
     def heartbeat(self, tracker: TaskTracker) -> None:
         """Tracker status report; schedules tasks onto its free slots."""
+        now = self.sim._now
         desc = self._trackers.get(tracker.host)
         if desc is None or desc.tracker is not tracker:
             self.register_tracker(tracker)
             desc = self._trackers[tracker.host]
-        desc.last_heartbeat = self.sim.now
+        desc.last_heartbeat = now
         if not desc.alive:
             desc.alive = True
             self.counters.incr("trackers_reregistered")
             heappush(self._expiry_heap,
-                     (self.sim.now + self.tracker_expiry(), tracker.host))
+                     (now + self.tracker_expiry(), tracker.host))
             self._live_count_changed(+1)
         self.heartbeats += 1
-        round_key = (self.sim.now, self.jobs_version)
+        round_key = (now, self.jobs_version)
         if round_key != self._round_key:
-            # First heartbeat of this (instant, job-list) round: let the
-            # scheduler refresh its round-scoped snapshots once; the other
-            # trackers landing at this instant share them.
+            # First heartbeat of this (instant, job-list) round: counted
+            # (and traced) only — the scheduler's index refresh is lazy and
+            # runs inside ``assign`` for trackers with free slots.
             self._round_key = round_key
             self.heartbeat_rounds += 1
             tr = self.tracer
             if tr is not None:
-                tr.instant("control", "heartbeat-round", self.sim.now,
+                tr.instant("control", "heartbeat-round", now,
                            "jobtracker", args={"round": self.heartbeat_rounds,
                                                "trackers": self._live_trackers})
-            self.scheduler.begin_round()
         for task, speculative, locality in self.scheduler.assign(tracker):
             self._launch(task, tracker, speculative, locality)
 

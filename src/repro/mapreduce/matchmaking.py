@@ -45,6 +45,12 @@ class MatchmakingScheduler(FifoScheduler):
             self._marker.clear()
             self._submits_seen = seq
 
+    def _idle_heartbeat(self, tracker, free_maps: int) -> None:
+        # The skipped map pick would have refused the node: mark it.
+        if min(free_maps, self.config.maps_per_heartbeat) > 0:
+            self._maybe_reset_markers()
+            self._marker[tracker.host] = True
+
     def _pick_map(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
         self._maybe_reset_markers()
         chosen_tasks = {t for t, _, _ in already}

@@ -42,11 +42,6 @@ class TaskScheduler:
         self.jobtracker = jobtracker
         self.config = jobtracker.config
 
-    def begin_round(self) -> None:
-        """Hook: the jobtracker starts a new heartbeat *round* (first
-        heartbeat at a sim instant, or the job list changed mid-instant).
-        Round-scoped snapshots/resets go here, not in :meth:`assign`."""
-
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
         """Return ``(task, speculative, locality)`` assignments for one
         heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
@@ -70,15 +65,10 @@ class FifoScheduler(TaskScheduler):
     def _job_removed(self, job: Job) -> None:
         """Hook: ``job`` left the schedulable set (finished/failed)."""
 
-    def begin_round(self) -> None:
-        """Reconcile the index once per heartbeat round."""
-        self._refresh_index()
-
-    def _refresh_index(self, jobs: Optional[List[Job]] = None) -> None:
-        if jobs is None:
-            jobs = self.jobtracker.schedulable_jobs()
-        self.index.sync(jobs)
-        self.index.pull_spec(self.jobtracker.sim.now)
+    def _idle_heartbeat(self, tracker, free_maps: int) -> None:
+        """Hook: the empty-index gate skipped both picks for ``tracker``.
+        A subclass whose map pick has a side effect even when it finds
+        nothing replays that effect here."""
 
     def _index_for(self, job: Job) -> JobLocalityIndex:
         """The per-job locality index (registered on first sync)."""
@@ -95,9 +85,21 @@ class FifoScheduler(TaskScheduler):
         jobs = self.jobtracker.schedulable_jobs()
         if not jobs:
             return out
-        # Defensive re-sync for direct assign() callers; O(1) when the
-        # round bookkeeping already ran (version-gated + lazy heap top).
-        self._refresh_index(jobs)
+        # O(1) unless the job list changed (version-gated sync) or a
+        # snoozed speculation gate passed (lazy heap top).
+        index = self.index
+        index.sync(jobs)
+        index.pull_spec(self.jobtracker.sim._now)
+        if not self.use_scan:
+            # Empty-index gate, after the refresh (a gate passing at this
+            # instant arms its job first): with no candidate job for
+            # either picker, both would return None.  The scan path
+            # bypasses it, so the equivalence suite proves it exact.
+            speculative = self.config.speculative_execution
+            if not (index.map_candidates(speculative)
+                    or index.reduce_candidates(speculative)):
+                self._idle_heartbeat(tracker, free_maps)
+                return out
 
         for _ in range(min(free_maps, self.config.maps_per_heartbeat)):
             pick = self._pick_map(tracker, jobs, already=out)

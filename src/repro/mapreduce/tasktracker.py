@@ -143,27 +143,29 @@ class TaskTracker:
     @property
     def free_map_slots(self) -> int:
         """Map slots available for assignment."""
-        return max(0, self.map_slots - self.running_maps)
+        return max(0, self.map_slots - self._n_running_maps)
 
     @property
     def free_reduce_slots(self) -> int:
         """Reduce slots available for assignment."""
-        return max(0, self.reduce_slots - self.running_reduces)
+        return max(0, self.reduce_slots - self._n_running_reduces)
 
     # -- heartbeat -----------------------------------------------------------------
     def _hb_tick(self, epoch: int) -> None:
         """One heartbeat on the callback-timer fast path.
 
-        The cadence is a chain of ``call_after`` timers carrying the epoch
-        token captured at :meth:`start`; ``shutdown`` bumps the epoch, so
-        a tick from a dead incarnation lands here and does nothing.
+        The cadence is a chain of coalescing ``call_at`` timers (shared
+        with the node's datanode ticks) carrying the epoch token captured
+        at :meth:`start`; ``shutdown`` bumps the epoch, so a tick from a
+        dead incarnation lands here and does nothing.
         """
         if epoch != self._hb_epoch or not self.is_alive:
             return
         self.jobtracker.heartbeat(self)
         # Ask per beat: the period adapts to cluster size.
-        self.sim.call_after(
-            self.jobtracker.heartbeat_interval(), self._hb_tick, epoch)
+        sim = self.sim
+        sim.call_at(sim._now + self.jobtracker.heartbeat_interval(),
+                    self._hb_tick, epoch)
 
     # -- attempt execution -------------------------------------------------------------
     def launch(self, attempt: TaskAttempt) -> None:
@@ -266,31 +268,15 @@ class TaskTracker:
         max-min share of the slowest of them at every instant, exactly
         like a streaming HTTP response reading from disk.
         """
-        done = self.sim.event()
         if self.state != TaskTracker.RUNNING or not self.disk.alive:
+            done = self.sim.event()
             done.fail(TaskExecutionError(
                 f"shuffle server on {self.host} unavailable ({self.state})"))
             done.defused()
             return done
-        both = self.fabric.serve_stream(self.host, dest, nbytes, self.disk)
-
-        # Callback-chained (no helper process): the shuffle creates one of
-        # these per fetch, so the saved process is two fewer heap events.
-        def finish(ev) -> None:
-            if done.triggered:
-                return
-            if ev._ok:
-                done.succeed(None)
-            else:
-                ev._defused = True
-                done.fail(TaskExecutionError(str(ev._value)))
-                done.defused()
-
-        if both.callbacks is None:
-            finish(both)
-        else:
-            both.callbacks.append(finish)
-        return done
+        # The stream event itself: the reducer reads only whether the
+        # fetch succeeded, so no relay event is needed.
+        return self.fabric.serve_stream(self.host, dest, nbytes, self.disk)
 
     # -- reduce --------------------------------------------------------------------
     def _run_reduce(self, attempt: TaskAttempt):

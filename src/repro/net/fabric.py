@@ -411,10 +411,8 @@ class NetworkFabric:
             self._flows_by_host.setdefault(flow.dst, {})[flow] = None
             self.channel.start(flow)
 
-        if delay > 0.0:
-            self.sim.call_after(delay, start)
-        else:
-            self.sim.call_at(self.sim.now, start)
+        # Coalescing: flow starts landing at one instant share a heap entry.
+        self.sim.call_at(self.sim._now + delay, start)
 
     def _flow_exited(self, demand: Demand) -> None:
         """Channel exit hook: tear down the fabric-side indexes."""

@@ -9,7 +9,8 @@ reported as informational drift:
   flagged only when the new value exceeds the old by more than
   ``wall_tolerance`` (fractional, default ±50%);
 - **throughput** (``events_per_second``): flagged when the new value
-  falls below ``eps_floor`` × old (default 0.8);
+  falls below ``eps_floor`` × old (default 0.8), only if both records
+  count the same ``events`` (else the wall rule judges alone);
 - **fast-path rate** (derived: fast-path hits / (hits + filling
   passes)): flagged when it drops more than ``fastpath_drop`` absolute
   points (default 0.05) — the PR 7 frontier must not silently erode;
@@ -134,8 +135,10 @@ def fast_path_rate(flat: Dict[str, float], prefix: str = "") -> Optional[float]:
     return None
 
 
-def _classify(key: str, old: float, new: float, t: Thresholds) -> Optional[str]:
-    """The regression rule (or None) for one changed value."""
+def _classify(key: str, old: float, new: float, t: Thresholds,
+              same_work: bool = True) -> Optional[str]:
+    """The regression rule (or None) for one changed value
+    (``same_work``: the records' sibling ``events`` counts match)."""
     leaf = key.rsplit(".", 1)[-1]
     if leaf in _FAULT_SUFFIXES:
         if new > old:
@@ -146,7 +149,7 @@ def _classify(key: str, old: float, new: float, t: Thresholds) -> Optional[str]:
             return f"wall regression (> +{t.wall_tolerance:.0%})"
         return None
     if leaf == "events_per_second":
-        if old > 0 and new < old * t.eps_floor:
+        if same_work and old > 0 and new < old * t.eps_floor:
             return f"events/s below {t.eps_floor:.0%} floor"
         return None
     if leaf in _BEHAVIOUR_SUFFIXES:
@@ -186,8 +189,12 @@ def diff_records(old: dict, new: dict,
             continue
         if a != 0 and abs(b - a) / abs(a) < t.noise_floor:
             continue
+        same_work = True
+        if key.endswith("events_per_second"):
+            events_key = key[:-len("_per_second")]
+            same_work = fa.get(events_key) == fb.get(events_key)
         entries.append(DiffEntry(prefix + key, a, b,
-                                 flag=_classify(key, a, b, t)))
+                                 flag=_classify(key, a, b, t, same_work)))
     ra, rb = fast_path_rate(fa), fast_path_rate(fb)
     if ra is not None and rb is not None and ra != rb:
         flag = (f"fast-path rate dropped > {t.fastpath_drop:.0%} abs"

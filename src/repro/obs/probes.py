@@ -70,6 +70,9 @@ class ProbeSet:
 
     # -- internals ---------------------------------------------------------
     def _arm(self) -> None:
+        # A dedicated entry, never the coalescing call_at: each tick must
+        # be exactly one engine event, because events_injected is
+        # subtracted from events_processed.
         self.sim.call_after(self.interval, self._tick)
 
     def _tick(self, _arg) -> None:

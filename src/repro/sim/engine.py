@@ -146,12 +146,25 @@ class Simulator:
         (still asynchronously).  The returned timer is pooled; never
         retain it past its fire, and never ``yield`` it.
         """
-        t = self._wakeups.get(when)
+        wakeups = self._wakeups
+        t = wakeups.get(when)
         if t is None:
-            t = self._acquire_timer(when if when > self._now else self._now,
-                                    NORMAL)
+            # _acquire_timer inlined: the hottest timer entry point (every
+            # heartbeat beat and flow start passes through here).
+            pool = self._timer_pool
+            if pool:
+                t = pool.pop()
+                t._state = TRIGGERED
+                prof = self.profile
+                if prof is not None:
+                    prof.timer_pool_reuses += 1
+            else:
+                t = CallbackTimer(self)
+            now = self._now
+            heappush(self._heap, (when if when > now else now, NORMAL,
+                                  next(self._counter), t))
             t.when = when
-            self._wakeups[when] = t
+            wakeups[when] = t
         fns = t._fns
         fns.append(fn)
         fns.append(arg)
@@ -162,24 +175,15 @@ class Simulator:
 
         Unlike :meth:`call_at` the timer is *not* shared: it owns its
         heap entry, exactly like ``timeout(delay)`` with one callback
-        appended, minus the event-object overhead.  Use for cadence ticks
-        (heartbeats, probes) and one-shot deferred actions.
+        appended, minus the event-object overhead.  Use for one-shot
+        deferred actions and for the obs probe and invariant ticks, whose
+        fire counts are subtracted from ``events_processed``.  Cadences
+        that may share instants (daemon heartbeats, flow starts) use
+        ``call_at(sim._now + delay, ...)``: one entry per instant.
         """
         if delay < 0:
             raise ValueError(f"negative timer delay {delay!r}")
-        # _acquire_timer inlined: this is the hottest timer entry point
-        # (every heartbeat/probe/restore tick passes through here).
-        pool = self._timer_pool
-        if pool:
-            t = pool.pop()
-            t._state = TRIGGERED
-            prof = self.profile
-            if prof is not None:
-                prof.timer_pool_reuses += 1
-        else:
-            t = CallbackTimer(self)
-        heappush(self._heap,
-                 (self._now + delay, NORMAL, next(self._counter), t))
+        t = self._acquire_timer(self._now + delay, NORMAL)
         fns = t._fns
         fns.append(fn)
         fns.append(arg)
@@ -260,51 +264,19 @@ class Simulator:
         ``until`` may also be an :class:`Event`; the run then stops as soon
         as that event has been processed.
         """
-        stop_event: Optional[Event] = None
-        horizon = float("inf")
         if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
+            self._dispatch(until, float("inf"))
+            if until._state < PROCESSED:
+                raise RuntimeError(
+                    "simulation ran out of events before `until` fired")
+            return
+        horizon = float("inf")
+        if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(f"until={horizon!r} is in the past (now={self._now!r})")
-
-        # Batched same-instant dispatch: all heap entries sharing
-        # (time, priority) drain in one inner loop with a single `_now`
-        # write and one `events_processed` flush per batch.  Stop-event
-        # checks stay per-event so `run(until=event)` halts at the exact
-        # dispatch the event is processed, mid-batch included.
-        heap = self._heap
-        pop = heappop
-        while heap:
-            if stop_event is not None and stop_event._state >= PROCESSED:
-                return
-            when, priority = heap[0][0], heap[0][1]
-            if when > horizon:
-                self._now = horizon
-                return
-            self._now = when
-            prof = self.profile
-            n = 0
-            while True:
-                _, _, _, event = pop(heap)
-                n += 1
-                if prof is not None:
-                    prof.note(event, len(heap))
-                event._process()
-                if stop_event is not None and stop_event._state >= PROCESSED:
-                    break
-                if not heap:
-                    break
-                head = heap[0]
-                if head[0] != when or head[1] != priority:
-                    break
-            self.events_processed += n
-            if prof is not None:
-                prof.note_batch(n)
-
-        if stop_event is not None and stop_event._state < PROCESSED:
-            raise RuntimeError("simulation ran out of events before `until` fired")
+        # A never-triggered stand-in keeps the loop's stop check uniform.
+        self._dispatch(Event(self), horizon)
         if horizon != float("inf"):
             self._now = horizon
 
@@ -318,28 +290,39 @@ class Simulator:
         then, time is advanced to ``deadline`` (when finite) and ``False``
         is returned.  Returns ``True`` as soon as ``event`` has fired.
         """
+        self._dispatch(event, deadline)
+        if event._state >= PROCESSED:
+            return True
+        if deadline != float("inf"):
+            self._now = max(self._now, deadline)
+        return False
+
+    def _dispatch(self, stop: Event, horizon: float) -> None:
+        """The dispatch loop behind :meth:`run` and :meth:`run_until`.
+
+        Processes events at or before ``horizon`` until the heap runs dry
+        or ``stop`` has been processed.  Batched same-instant dispatch:
+        all heap entries sharing (time, priority) drain in one inner loop
+        with a single ``_now`` write and one ``events_processed`` flush
+        per batch.  The stop check stays per-event so a run halts at the
+        exact dispatch ``stop`` is processed, mid-batch included.
+        """
         heap = self._heap
         pop = heappop
-        while event._state < PROCESSED:
-            if not heap or heap[0][0] > deadline:
-                if deadline != float("inf"):
-                    self._now = max(self._now, deadline)
-                return False
-            # Drain the same-(time, priority) batch; the target-event
-            # check stays per-dispatch so we stop at the exact instant.
+        while heap and stop._state < PROCESSED:
             when, priority = heap[0][0], heap[0][1]
+            if when > horizon:
+                return
             self._now = when
             prof = self.profile
             n = 0
             while True:
-                _, _, _, ev = pop(heap)
+                _, _, _, event = pop(heap)
                 n += 1
                 if prof is not None:
-                    prof.note(ev, len(heap))
-                ev._process()
-                if event._state >= PROCESSED:
-                    break
-                if not heap:
+                    prof.note(event, len(heap))
+                event._process()
+                if stop._state >= PROCESSED or not heap:
                     break
                 head = heap[0]
                 if head[0] != when or head[1] != priority:
@@ -347,7 +330,6 @@ class Simulator:
             self.events_processed += n
             if prof is not None:
                 prof.note_batch(n)
-        return True
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:g} pending={len(self._heap)}>"

@@ -1,0 +1,167 @@
+"""The idle-heartbeat fast path.
+
+- **Shared heap entries.**  A node's tasktracker and datanode re-arm
+  their heartbeat cadences through the coalescing ``Simulator.call_at``,
+  so both ticks of one beat ride one :class:`CallbackTimer`.  A stale
+  tick (daemon shut down) is a no-op inside the shared entry and must
+  not disturb its partner.  Obs probe and invariant ticks stay dedicated
+  (their counts are subtracted from ``events_processed``).
+- **Empty-index gate.**  ``FifoScheduler.assign`` returns early when the
+  cluster index has no candidate job for either picker.  The gate must
+  run *after* the index refresh: a snoozed speculation gate passing at
+  the heartbeat instant arms its job inside that refresh.
+- **Invalidation batches.**  The namenode drains a host's trash queue
+  ``invalidate_work_per_heartbeat`` ids at a time, in queue order.
+"""
+
+from repro.core import HOGConfig, HOGSystem
+from repro.faults.invariants import InvariantChecker
+from repro.grid import GridSiteConfig, SitePolicy
+from repro.hdfs import hog_config
+from repro.mapreduce import MRConfig
+from repro.obs.probes import ProbeSet
+from repro.sim import Simulator
+
+from helpers import HdfsHarness, MRHarness
+
+
+def _small_hog(target=4):
+    policy = SitePolicy(preempt_rate=0.0, burst_rate=0.0,
+                        scheduling_delay_mean=5.0)
+    sites = [GridSiteConfig(f"SITE{i}", f"site{i}.edu", 10, policy)
+             for i in range(2)]
+    sim = Simulator()
+    hog = HOGSystem(sim, HOGConfig(sites=sites, seed=1,
+                                   negotiation_interval=10.0))
+    hog.start(target)
+    hog.run_until_nodes(target)
+    sim.run(until=sim.now + 10.0)
+    return sim, hog
+
+
+def _timers_holding(sim, owner):
+    """Pending shared timers with a callback bound to ``owner``."""
+    return [t for t in sim._wakeups.values()
+            if any(getattr(fn, "__self__", None) is owner
+                   for fn in t._fns[::2])]
+
+
+class TestSharedHeartbeatEntry:
+    def test_node_daemons_tick_from_one_timer(self):
+        sim, hog = _small_hog()
+        for node in hog.nodes.values():
+            tt_timers = _timers_holding(sim, node.tasktracker)
+            dn_timers = _timers_holding(sim, node.datanode)
+            assert len(tt_timers) == 1
+            assert tt_timers == dn_timers, node.host
+
+    def test_stale_tick_is_a_noop_and_partner_continues(self):
+        sim, hog = _small_hog()
+        node = hog.nodes[sorted(hog.nodes)[0]]
+        tt, dn = node.tasktracker, node.datanode
+        (shared,) = _timers_holding(sim, tt)
+        fire_at = shared.when
+        jt_desc = hog.jobtracker._trackers[node.host]
+        nn_desc = hog.namenode._nodes[node.host]
+        tt_seen = jt_desc.last_heartbeat
+
+        tt.shutdown()  # its tick is already inside the shared entry
+        assert _timers_holding(sim, tt) == [shared]
+        sim.run(until=fire_at)
+
+        assert jt_desc.last_heartbeat == tt_seen
+        assert nn_desc.last_heartbeat == fire_at
+        assert _timers_holding(sim, tt) == []
+        (nxt,) = _timers_holding(sim, dn)
+        next_at = nxt.when
+        assert next_at > fire_at
+        sim.run(until=next_at)
+        assert nn_desc.last_heartbeat == next_at
+        assert jt_desc.last_heartbeat == tt_seen
+
+    def test_probe_and_invariant_ticks_stay_dedicated(self):
+        sim, hog = _small_hog()
+        interval = hog.jobtracker.heartbeat_interval()
+        probes = ProbeSet(sim, {"zero": lambda: 0.0}, interval)
+        checker = InvariantChecker(sim, hog, interval=interval)
+        probes.start()
+        checker.start()
+        for owner in (probes, checker):
+            (timer,) = [e[3] for e in sim._heap
+                        if getattr(e[3], "_fns", None)
+                        and any(getattr(fn, "__self__", None) is owner
+                                for fn in e[3]._fns[::2])]
+            assert timer.when is None  # not in the shared registry
+            assert len(timer._fns) == 2  # owns its entry alone
+
+
+class TestEmptyIndexGate:
+    def test_snoozed_gate_passing_at_heartbeat_launches_copy(self):
+        """Pending lists empty, one straggler whose speculation gate
+        (oldest start 0 + min elapsed 30 s) passes exactly at the t=30
+        heartbeat: that heartbeat must launch the speculative copy."""
+        h = MRHarness(n_nodes=3, n_sites=1,
+                      mr_config=MRConfig(speculation_min_elapsed=30.0))
+        slow = h.hosts()[0]
+        h.tasktrackers[slow].speed = 0.05
+        job = h.submit("gate", num_maps=3, num_reduces=0,
+                       map_cpu_per_block=10.0)
+        h.run(until=29.0)
+        index = h.jobtracker.scheduler.index
+        assert not job.pending_map_tasks and not index.map_jobs
+        assert job.completed_maps == 2
+        assert not index.spec["map"].armed  # snoozed until t=30
+        h.run(until=30.0)
+        copies = [a for t in job.maps for a in t.attempts if a.speculative]
+        assert len(copies) == 1
+        assert copies[0].start_time == 30.0
+        assert copies[0].tracker.host != slow
+
+    def test_matchmaking_idle_heartbeat_marks_node_like_scan(self):
+        """The gate skips matchmaking's map pick, whose refusal marks the
+        node even when no job has work; the idle hook replays it.  A node
+        joining once the index is empty (maps running, speculation
+        snoozed) meets the gate on its first heartbeat."""
+        markers = []
+        for scan in (False, True):
+            h = MRHarness(n_nodes=4, n_sites=2, mr_config=MRConfig(
+                scheduler="matchmaking", debug_scan_assign=scan))
+            h.submit("mm", num_maps=2, num_reduces=0,
+                     map_cpu_per_block=60.0)
+            h.run(until=10.0)
+            index = h.jobtracker.scheduler.index
+            if not scan:
+                assert not index.map_candidates(True)
+            h.add_node("node004.site0.edu")
+            h.run(until=20.0)
+            markers.append(dict(h.jobtracker.scheduler._marker))
+        assert markers[0] == markers[1]
+        assert markers[0].get("node004.site0.edu")
+
+
+class TestInvalidationBatches:
+    def test_batches_follow_queue_order(self):
+        h = HdfsHarness(n_nodes=3, config=hog_config(
+            replication=1, invalidate_work_per_heartbeat=4,
+            disk_check_interval=None, block_report_interval=None))
+        nn = h.namenode
+        h.client().preload_file("/f", 30 * h.config.block_size)
+        host = max(h.hosts(), key=lambda x: h.datanodes[x].num_blocks())
+        dn = h.datanodes[host]
+        queued = list(dn.block_report())[::-1]
+        assert len(queued) >= 6
+        for bid in queued:
+            nn._queue_invalidation(host, bid)
+        removed = []
+        original = dn.remove_block
+        dn.remove_block = lambda bid: (removed.append(bid), original(bid))
+        desc = nn._nodes[host]
+        beats = 0
+        while host in nn._invalidate_queue:
+            nn._dispatch_invalidations(desc)
+            beats += 1
+            assert removed == queued[:4 * beats]
+        assert removed == queued
+        assert beats == -(-len(queued) // 4)
+        assert dn.num_blocks() == 0
+        assert nn.counters.get("replicas_trashed") == len(queued)

@@ -235,6 +235,23 @@ class TestDiffEngine:
         assert "makespan_seconds" in flags
         assert "failed_jobs" in flags
 
+    def test_eps_floor_skipped_when_event_counts_differ(self):
+        """Fewer events in less wall time is less work, not a slowdown:
+        events/s falls but only the wall rule judges the pair."""
+        old = self._record(events=1_000_000, wall_seconds=10.0,
+                           events_per_second=100_000)
+        new = self._record(events=660_000, wall_seconds=9.1,
+                           events_per_second=72_527)
+        assert not [e for e in diff_records(old, new) if e.flag]
+
+    def test_eps_floor_applies_to_equal_event_counts(self):
+        old = self._record(events=1_000_000, wall_seconds=10.0,
+                           events_per_second=100_000)
+        new = self._record(events=1_000_000, wall_seconds=13.3,
+                           events_per_second=75_000)
+        flags = {e.key: e.flag for e in diff_records(old, new) if e.flag}
+        assert flags == {"events_per_second": "events/s below 80% floor"}
+
     def test_fast_path_rate_derived_and_gated(self):
         flat = flatten_numeric(self._record())
         assert fast_path_rate(flat) == pytest.approx(0.9)
