@@ -34,7 +34,7 @@ def test_fig4_regenerate(benchmark, fig4_result):
     # The sweep itself is minutes long; benchmark a single representative
     # HOG point so pytest-benchmark has a stable, bounded measurement.
     from repro.experiments.common import HogRunSettings, run_facebook_on_hog
-    from repro.experiments import calibration
+    from repro.scenarios import calibration
 
     def one_point():
         return run_facebook_on_hog(HogRunSettings(

@@ -48,9 +48,8 @@ if __package__ in (None, ""):
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
 
-from repro.experiments import calibration
 from repro.obs.diff import Thresholds, diff_reports
-from repro.scenarios import ScenarioRunner, registry
+from repro.scenarios import ScenarioRunner, calibration, registry
 from repro.scenarios.parallel import run_specs_parallel
 
 DEFAULT_NODE_COUNTS = (100, 250, 500, 1000)
@@ -135,7 +134,6 @@ def run_point(n_nodes: int, scale: float, seed: int,
         "arrival_fast_paths": result.channel["arrival_fast_paths"],
         "departure_fast_paths": result.channel["departure_fast_paths"],
         "completion_fast_paths": result.channel["completion_fast_paths"],
-        "uniform_fast_accepts": result.channel["uniform_fast_accepts"],
         # Power-of-two histogram of filling-pass component sizes (bucket i
         # counts passes over [2^(i-1), 2^i) demands; trailing zeros trimmed).
         "pass_size_hist": result.channel["pass_size_hist"],

@@ -8,7 +8,7 @@ we will get for a given workload".
 
 import pytest
 
-from repro.experiments.calibration import PAPER_TABLE4
+from repro.scenarios.calibration import PAPER_TABLE4
 from repro.experiments.fig5 import run_fig5
 
 import sys

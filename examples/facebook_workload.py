@@ -11,7 +11,7 @@ Run:  python examples/facebook_workload.py [--nodes N] [--scale S]
 
 import argparse
 
-from repro.experiments import calibration
+from repro.scenarios import calibration
 from repro.experiments.common import (
     HogRunSettings,
     run_facebook_on_cluster,

@@ -180,7 +180,7 @@ class HOGSystem:
             "uniform_leaves", "uniform_joins", "uniform_pins",
             "cross_partition_passes", "arrival_fast_paths",
             "departure_fast_paths", "completion_fast_paths",
-            "uniform_fast_accepts", "starvation_rescues", "peak_demands",
+            "starvation_rescues", "peak_demands",
             "region_passes", "region_expansions", "region_fallbacks",
             "pass_size_hist"))
         reg.bind_attrs("channel", self.fabric, ("peak_flows",))

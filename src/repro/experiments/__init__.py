@@ -4,10 +4,9 @@
 - :mod:`repro.experiments.fig4` — equivalent performance sweep
 - :mod:`repro.experiments.fig5` — node fluctuation + Table IV
 - :mod:`repro.experiments.ablations` — design-choice ablations + HOD
-- :mod:`repro.experiments.calibration` — shared constants
 - :mod:`repro.experiments.common` — workload runners
 """
 
-from . import ablations, calibration, common, fig4, fig5, tables
+from . import ablations, common, fig4, fig5, tables
 
-__all__ = ["ablations", "calibration", "common", "fig4", "fig5", "tables"]
+__all__ = ["ablations", "common", "fig4", "fig5", "tables"]

@@ -28,8 +28,8 @@ from ..grid.site import SitePolicy
 from ..hdfs.config import hog_config
 from ..mapreduce.config import hog_mr_config
 from ..metrics.report import WorkloadResult, format_table
+from ..scenarios import calibration
 from ..workload.schedule import build_facebook_schedule
-from . import calibration
 from .common import HogRunSettings, run_facebook_on_hog
 
 __all__ = [

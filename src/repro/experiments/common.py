@@ -32,11 +32,11 @@ from ..hdfs.config import HdfsConfig
 from ..mapreduce.config import MRConfig
 from ..metrics.report import WorkloadResult
 from ..net.fabric import FabricConfig
+from ..scenarios import calibration
 from ..scenarios.runner import ScenarioRunner, collect_result, drive_workload
 from ..scenarios.spec import ClusterSpec, FaultSpec, ScenarioSpec, WorkloadSpec
 from ..sim.engine import Simulator
 from ..workload.schedule import LoadgenParams, build_facebook_schedule
-from . import calibration
 
 __all__ = ["HogRunSettings", "run_facebook_on_hog", "run_facebook_on_cluster",
            "paper_sites_with_policy", "settings_to_spec"]

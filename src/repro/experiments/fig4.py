@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics.report import format_table
-from ..scenarios import ScenarioRunner, registry
-from . import calibration
+from ..scenarios import ScenarioRunner, calibration, registry
 from .common import run_facebook_on_cluster
 
 __all__ = ["Fig4Point", "Fig4Result", "run_fig4", "find_crossover",

@@ -27,9 +27,8 @@ import numpy as np
 
 from ..grid.site import SitePolicy
 from ..metrics.report import format_table
-from ..scenarios import ScenarioRunner, registry
+from ..scenarios import ScenarioRunner, calibration, registry
 from ..sim.monitor import StepSeries
-from . import calibration
 
 __all__ = ["Fig5Run", "Fig5Result", "run_fig5"]
 

@@ -624,10 +624,6 @@ class Namenode:
         """Replica delete commands queued but not yet dispatched."""
         return sum(len(q) for q in self._invalidate_queue.values())
 
-    def missing_block_count(self) -> int:
-        """Blocks with zero believed replicas."""
-        return sum(1 for i in self._blocks.values() if i.live_replica_count == 0)
-
     def total_block_count(self) -> int:
         """All blocks in the namespace."""
         return len(self._blocks)

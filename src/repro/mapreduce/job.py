@@ -173,7 +173,7 @@ class Job:
         "job_id", "spec", "submit_time", "start_time", "finish_time",
         "status", "maps", "reduces", "map_outputs", "blacklist",
         "locality_counters", "_map_completed_listeners",
-        "_requeue_listeners", "_transition_listeners",
+        "_transition_listeners",
         "pending_map_tasks", "pending_reduce_tasks",
         "running_map_tasks", "running_reduce_tasks",
         "_n_completed_maps", "_n_completed_reduces",
@@ -198,9 +198,6 @@ class Job:
         self.locality_counters: Dict[str, int] = {
             "data_local": 0, "site_local": 0, "remote": 0}
         self._map_completed_listeners: List = []
-        #: Fired with the task whenever one returns to PENDING (failure
-        #: recovery, lost map output): index maintainers re-admit it.
-        self._requeue_listeners: List = []
         #: Fired with ``(task, old, new)`` on *every* status transition,
         #: after the per-status sets/counters above are current.  The
         #: cluster-wide scheduler index hangs off this: indexes update on
@@ -246,8 +243,6 @@ class Job:
                 self._n_completed_reduces -= 1
         if new == TaskStatus.PENDING:
             pending[task] = None
-            for cb in self._requeue_listeners:
-                cb(task)
         elif new == TaskStatus.RUNNING:
             running[task] = None
         elif new == TaskStatus.COMPLETED:
@@ -309,11 +304,6 @@ class Job:
         if not self.reduces:
             return False
         return self.completed_maps >= slowstart * len(self.maps)
-
-    def subscribe_task_requeued(self, callback) -> None:
-        """Register a callback fired with any task that returns to PENDING
-        (used by scheduler locality indexes to re-admit pruned tasks)."""
-        self._requeue_listeners.append(callback)
 
     def subscribe_task_transition(self, callback) -> None:
         """Register a callback fired with ``(task, old, new)`` on every

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .job import Job, Task, TaskType
-from .pending_index import ClusterPendingIndex, JobLocalityIndex
+from .pending_index import ClusterPendingIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .jobtracker import JobTracker
@@ -69,10 +69,6 @@ class FifoScheduler(TaskScheduler):
         """Hook: the empty-index gate skipped both picks for ``tracker``.
         A subclass whose map pick has a side effect even when it finds
         nothing replays that effect here."""
-
-    def _index_for(self, job: Job) -> JobLocalityIndex:
-        """The per-job locality index (registered on first sync)."""
-        return self.index.locality(job)
 
     # -- assignment ----------------------------------------------------------
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:

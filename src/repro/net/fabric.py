@@ -280,10 +280,6 @@ class NetworkFabric:
         """End a WAN partition started by :meth:`partition_site`."""
         self._partitioned_sites.pop(site, None)
 
-    def site_partitioned(self, site: str) -> bool:
-        """True while ``site`` is WAN-partitioned."""
-        return site in self._partitioned_sites
-
     def _path(self, src: str, dst: str) -> Tuple[List[Link], bool]:
         """Links for a src→dst flow and whether it stays inside one site.
 

@@ -2,7 +2,7 @@
 
 (The module lives under :mod:`repro.scenarios` so the scenario registry —
 which the experiment drivers consume — can use it without an import
-cycle; :mod:`repro.experiments.calibration` re-exports it unchanged.)
+cycle.)
 
 Per DESIGN.md §5 we do not chase the paper's absolute seconds — our
 substrate is a simulator, not the 2012 OSG — but these constants are tuned

@@ -38,15 +38,25 @@ multi-bottleneck generalisation of the single-timer trick the disk
 channel and the fabric's single-bottleneck path used to implement twice,
 divergently.
 
-**Group timers per bottleneck.**  Components the uniform test rejects
+**One filling kernel, group timers per bottleneck.**  Region and
+component passes share one progressive-filling kernel (``_fill``): a lazy
+heap of per-constraint fair shares over residuals and unfrozen counts
+kept in constraint scratch slots.  Components the uniform test rejects
 (several bottlenecks, or shared side constraints) still never arm
-per-demand timers.  Progressive filling freezes each demand at exactly
-one bottleneck constraint; all demands frozen at a constraint share its
+per-demand timers.  The kernel freezes each demand at exactly one
+bottleneck constraint; all demands frozen at a constraint share its
 fair share, so one timer per bottleneck — aimed at that group's earliest
 finish — wakes the component at the exact next completion instant.  The
 resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
 re-checks and re-aims), so slowdowns never allocate timers.
+
+**One departure test.**  A leaving demand frees capacity that can only
+move a survivor bottlenecked where it left: when every constraint it
+crossed stays unsaturated or has no survivor as fast as the leaver
+(``_departure_is_local``), no pass runs.  ``remove`` applies it to
+aborts; the completion fast path is the same test applied when a
+bottleneck timer fires on a constraint whose lone demand has drained.
 
 **Region passes.**  Most dirty batches change a few rates inside a
 large component (shuffle fan-ins and replication pipelines chain many
@@ -92,11 +102,10 @@ strictly slower than its leaver and skip a pass that was needed.  (The
 arrival fast path compares exactly: a last-bit miss there only declines
 the shortcut and runs a pass.)
 
-**Heap batching.**  All wake-ups go through
-:meth:`~repro.sim.engine.Simulator.call_at` (the callback-timer twin of
-``wakeup_at``), so the many groups that finish at the same simulated
-instant share a single event-heap entry and dispatch without event-object
-or generator-resume overhead.
+**Heap batching.**  All wake-ups go through the coalescing
+:meth:`~repro.sim.engine.Simulator.call_at`, so the many groups that
+finish at the same simulated instant share a single event-heap entry and
+dispatch without event-object or generator-resume overhead.
 
 Same-instant changes batch into one scheduled pass (`_mark_dirty`), and
 completions that land exactly on a pass's timestamp are drained by that
@@ -107,7 +116,8 @@ event.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .engine import Simulator
 from .events import Event
@@ -127,7 +137,7 @@ class Constraint:
     __slots__ = ("name", "capacity", "partition", "demands", "group",
                  "_timer_at", "_timer_version", "_visit", "_residual",
                  "_ucount", "_omax", "_rmax", "_obmin", "_bound_sum",
-                 "_unbounded", "_slack_below", "_wit_counts", "_tighter")
+                 "_unbounded", "_slack_below", "_wit_counts")
 
     def __init__(self, name: str, capacity: float,
                  partition: Optional[str] = None) -> None:
@@ -173,12 +183,6 @@ class Constraint:
         #: add/remove (`_wit_counts` holds the live count per witness).
         self._bound_sum = 0.0
         self._wit_counts: Dict["Constraint", int] = {}
-        #: Live demands with a side constraint *strictly* tighter than
-        #: this one (witness capacity < our capacity).  While zero, a
-        #: single-bottleneck pass here is uniform by construction: every
-        #: side constraint c has cap_c >= capacity >= k_c * share, so the
-        #: uniform-group eligibility holds without the per-member scan.
-        self._tighter = 0
         #: Live demands whose bound through here is unbounded (their only
         #: constraint) — any such demand disables the slack shortcut.
         self._unbounded = 0
@@ -704,10 +708,6 @@ class FairQueue:
         self.arrival_fast_paths = 0
         #: Departures proven local (freed capacity bound nobody: no pass).
         self.departure_fast_paths = 0
-        #: Uniform groups accepted via the incremental eligibility test
-        #: (`_tighter` == 0 and an unskipped walk) without the per-member
-        #: validation scan.
-        self.uniform_fast_accepts = 0
         #: Bottleneck-timer completions resolved in place: the lone
         #: drained demand was unregistered and completed directly because
         #: its departure provably freed nobody — no filling pass ran.
@@ -772,8 +772,6 @@ class FairQueue:
                 if k == 0:
                     c._bound_sum += w.capacity
                 wc[w] = k + 1
-                if w.capacity < c.capacity:
-                    c._tighter += 1
         # Delta-driven arrival: when the demand lands wholly inside one
         # live uniform group's span (plus fresh private constraints), it
         # joins the group's virtual clock directly — no dirty marks, no
@@ -866,63 +864,56 @@ class FairQueue:
                     c._bound_sum -= w.capacity
                     if not wc:
                         c._bound_sum = 0.0  # reset float drift at idle
-                if w.capacity < c.capacity:
-                    c._tighter -= 1
         demand._retry_version += 1
         if demand.on_exit is not None:
             demand.on_exit(demand)
 
-    def remove(self, demand: Demand, requeue: bool = True) -> None:
-        """Drop a live demand.  ``requeue`` marks its constraints dirty so
-        survivors claim the freed capacity (off only when called from
-        inside a pass, which already has them in scope)."""
+    def remove(self, demand: Demand) -> None:
+        """Drop a live demand; survivors claim the freed capacity."""
         if demand._group is not None:
             demand._group.remove(demand)
             self._unregister(demand)
             return
         rate = demand.rate
         self._unregister(demand)
-        if requeue:
-            # Sub-component departure re-rating: freeing capacity on a
-            # constraint can only change the allocation if some survivor
-            # had that constraint as its bottleneck.  A constraint that
-            # was unsaturated binds nobody; a saturated one whose fastest
-            # survivor is strictly slower than the leaver cannot be a
-            # survivor's bottleneck either (the bottleneck property needs
-            # rate >= every sharer, including the leaver).  When every
-            # constraint of the leaver passes one of those tests, the
-            # survivors' allocation is still exactly max-min: skip the
-            # pass entirely.  O(local neighborhood), no walk.
-            if rate > 0.0 and not self._dirty and not self._pass_scheduled \
-                    and self._departure_is_local(demand, rate):
-                self.departure_fast_paths += 1
-                return
-            dirty = False
-            for c in demand.constraints:
-                if c.demands:
-                    self._dirty[c] = None
-                    dirty = True
-            if dirty:
-                self._mark_dirty()
+        if rate > 0.0 and not self._dirty and not self._pass_scheduled \
+                and self._departure_is_local(demand, rate):
+            self.departure_fast_paths += 1
+            return
+        dirty = False
+        for c in demand.constraints:
+            if c.demands:
+                self._dirty[c] = None
+                dirty = True
+        if dirty:
+            self._mark_dirty()
 
     def _departure_is_local(self, demand: Demand, rate: float) -> bool:
-        """True when a departure provably leaves survivors' rates exact
-        (see :meth:`remove`; ``demand`` is already unregistered)."""
+        """True when ``demand`` leaving at ``rate`` provably leaves the
+        survivors' rates exactly max-min, so no pass is needed.
+
+        Freeing capacity on a constraint can only change the allocation
+        if some survivor had that constraint as its bottleneck.  A
+        constraint that was unsaturated binds nobody; a saturated one
+        whose fastest survivor is strictly slower than the leaver cannot
+        be a survivor's bottleneck either (the bottleneck property needs
+        rate >= every sharer, including the leaver).  ``demand`` itself is
+        skipped, so it may still be registered.  O(local neighborhood)."""
         for c in demand.constraints:
             if c.group is not None:
                 return False  # pinned foreign load: let a pass re-rate
-            if not c.demands:
-                continue
-            load = rate
+            load = 0.0
             maxr = 0.0
             for d2 in c.demands:
+                if d2 is demand:
+                    continue
                 rt = d2.rate
                 if rt <= 0.0 or d2._group is not None:
                     return False  # starved or clock-managed: not settled
                 load += rt
                 if rt > maxr:
                     maxr = rt
-            if maxr >= rate * TIE and load >= c.capacity * TIE:
+            if maxr >= rate * TIE and load + rate >= c.capacity * TIE:
                 return False  # could have been a survivor's bottleneck
         return True
 
@@ -1107,7 +1098,7 @@ class FairQueue:
                 if not outside:
                     return False
                 first = False
-            bnecks = self._region_fill(len(region), links, rlists, fid)
+            bnecks = self._fill(len(region), links, rlists, fid, False)
             if bnecks is None:
                 return False
             # Certificate.  (1) An R demand frozen at b needs every
@@ -1205,36 +1196,44 @@ class FairQueue:
         fresh.clear()
         return True
 
-    def _region_fill(self, n_region: int, links: List[Constraint],
-                     rlists: List[List[Demand]], fid: int
-                     ) -> Optional[List[tuple]]:
-        """Progressive filling of the region's demands (``rlists[i]`` are
-        those on ``links[i]``) into the residuals in the links' scratch.
-        Returns ``(bottleneck, level, earliest remaining)`` per
-        bottleneck, or None on a degenerate (non-positive) level — the
-        caller falls back."""
+    def _fill(self, count: int, links: List[Constraint],
+              lists: List[Iterable[Demand]], fid: int, rescue: bool
+              ) -> Optional[List[tuple]]:
+        """Progressive filling, shared by region and component passes.
+
+        Freezes ``count`` demands (``lists[i]`` are those on ``links[i]``;
+        group members are skipped) into the residuals and unfrozen counts
+        in the links' scratch, stamping each with ``fid``.  A lazy
+        min-heap of ``(fair share, link index)`` picks bottlenecks; shares
+        only grow as competitors freeze, so a stale entry is re-pushed
+        with its recomputed share.  Returns ``(bottleneck, level, earliest
+        remaining)`` per bottleneck in freeze order, or None when the heap
+        runs dry with demands unfrozen, or a level is non-positive and
+        ``rescue`` (:meth:`_rescue_level`) is off."""
         heap = [(c._residual / c._ucount, i)
                 for i, c in enumerate(links) if c._ucount]
         heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
         bnecks: List[tuple] = []
-        left = n_region
+        left = count
         while left > 0 and heap:
             share, i = heappop(heap)
             link = links[i]
             n = link._ucount
             if n == 0:
-                continue
+                continue  # all this constraint's demands froze elsewhere
             cur = link._residual / n
             if cur > share:
                 heappush(heap, (cur, i))
-                continue
+                continue  # stale entry: competitors froze since the push
             if cur <= 0.0:
-                return None
+                if not rescue:
+                    return None
+                cur = self._rescue_level(link, fid)
             min_remaining = float("inf")
-            for d in rlists[i]:
-                if d._fill_mark == fid:
+            for d in lists[i]:
+                if d._fill_mark == fid or d._group is not None:
                     continue
                 d._fill_mark = fid
                 d.rate = cur
@@ -1252,6 +1251,28 @@ class FairQueue:
         if left > 0:
             return None
         return bnecks
+
+    def _rescue_level(self, link: Constraint, fid: int) -> float:
+        """Positive level for ``link``'s unfrozen demands after its scratch
+        residual degenerated (floating-point underflow after many freeze
+        rounds): a zero rate would strand them with no timer.  Uses the
+        exactly recomputed residual, or a plain fair split of the
+        constraint (the oversubscription is bounded by the rounding
+        residue)."""
+        frozen_sum = 0.0
+        unfrozen = 0
+        for d in link.demands:
+            if d._group is not None:
+                frozen_sum += d._group.share()
+            elif d._fill_mark == fid:
+                frozen_sum += d.rate
+            else:
+                unfrozen += 1
+        self.starvation_rescues += unfrozen
+        exact = link.capacity - frozen_sum
+        if exact > 0.0:
+            return exact / unfrozen
+        return link.capacity / len(link.demands)
 
     def _certify(self, e: Demand, rid: int) -> bool:
         """True when outside demand ``e`` has a bottleneck after the
@@ -1299,7 +1320,6 @@ class FairQueue:
         add_demand = affected.append
         push_link = links.append
         multi_partition = False
-        skipped_slack = False
         first_partition: Optional[str] = None
         while stack:
             d = pop()
@@ -1319,7 +1339,6 @@ class FairQueue:
                         # Provably slack (total possible traffic below
                         # capacity): cannot bind, so it neither rates nor
                         # couples — do NOT chain components through it.
-                        skipped_slack = True
                         continue
                     c._visit = wid
                     push_link(c)
@@ -1363,8 +1382,6 @@ class FairQueue:
         # so the per-constraint unfrozen count is just its live demand
         # count — no per-demand build loop needed.  Residuals and counts
         # live in per-constraint scratch slots (no dict hashing).
-        heap = []
-        seq = 0
         best_share = float("inf")
         best: Optional[Constraint] = None
         #: Constraints shared with a live uniform group, filled with the
@@ -1406,8 +1423,6 @@ class FairQueue:
                     continue
                 c._residual = c.capacity
                 share = c.capacity / n
-            heap.append((share, seq, c))
-            seq += 1
             if share < best_share:
                 best_share = share
                 best = c
@@ -1426,13 +1441,13 @@ class FairQueue:
             self._fill_component(affected[0], self._walk_id)
             return
 
+        self._fill_id += 1
+        fid = self._fill_id
         # Single-bottleneck fast path: when the minimum-share constraint
         # carries *every* component demand, round one of progressive
         # filling freezes the whole component at that share.
         if best._ucount == len(affected):
             min_remaining = float("inf")
-            self._fill_id += 1
-            fid = self._fill_id
             for d in affected:
                 d.rate = best_share
                 d._bneck = best
@@ -1442,22 +1457,32 @@ class FairQueue:
             if pinned is not None:
                 for c, g, avail in pinned:
                     g.set_foreign(c, c._ucount * best_share)
-            elif self._try_uniform_group(
-                    best, affected,
-                    trusted=best._tighter == 0 and not skipped_slack):
+            elif self._try_uniform_group(best, affected):
                 return
             self._arm_bottleneck_timer(best, min_remaining / best_share)
             return
 
-        self._progressive_fill(affected, heap, seq)
+        bnecks = self._fill(len(affected), links,
+                            [c.demands for c in links], fid, True)
+        if bnecks is None:
+            # Belt-and-braces: the heap ran dry with unfrozen demands left
+            # (cannot happen for well-formed components, but a zero rate
+            # must never hang the simulation).  Starve the component and
+            # let the retries force a fresh pass.
+            for d in affected:
+                d.rate = 0.0
+                d._bneck = None
+                self.ensure_progress(d)
+            return
+        for link, level, min_remaining in bnecks:
+            self._arm_bottleneck_timer(link, min_remaining / level)
         if pinned is not None:
             for c, g, avail in pinned:
                 r = c._residual
                 g.set_foreign(c, avail - r if r < avail else 0.0)
 
     def _try_uniform_group(self, bottleneck: Constraint,
-                           members: List[Demand],
-                           trusted: bool = False) -> bool:
+                           members: List[Demand]) -> bool:
         """Enter virtual-clock mode if the allocation is exactly uniform:
         every non-bottleneck constraint must carry only members (a foreign
         demand — reachable through a slack-skipped constraint — would
@@ -1465,12 +1490,6 @@ class FairQueue:
         common share.  Shared constraints are fine; their limits go into
         the group's threshold heap, and the group dissolves itself when
         completions push the share past the tightest one.
-
-        ``trusted`` skips the eligibility scan: the caller proved it
-        incrementally (no member has a side constraint tighter than the
-        bottleneck, so every side c has cap_c >= cap_B >= k_c * share;
-        and the walk skipped nothing, so its closure guarantees every
-        side constraint is members-only).
 
         The group's span covers *every* member constraint (slack ones
         included): any dirt anywhere in the span must dissolve the group
@@ -1486,12 +1505,9 @@ class FairQueue:
                 if k == 0:
                     span.append(c)
                 counts[c] = k + 1
-        if trusted:
-            self.uniform_fast_accepts += 1
-        else:
-            for c, k in counts.items():
-                if len(c.demands) != k or k * share > c.capacity:
-                    return False
+        for c, k in counts.items():
+            if len(c.demands) != k or k * share > c.capacity:
+                return False
         self.uniform_groups += 1
         group = _UniformGroup(self, bottleneck, dict.fromkeys(members),
                               span, counts)
@@ -1534,13 +1550,10 @@ class FairQueue:
 
         Applies when the constraint holds exactly one non-grouped demand
         that has drained: the demand completes here, and the filling pass
-        is skipped iff its departure is *local* — every constraint it
-        crossed either stays unsaturated (freed capacity binds nobody) or
-        has no survivor as fast as the leaver (so none was bottlenecked
-        by it).  This is the completion twin of the ``remove()`` departure
-        fast path; it eliminates the single-drained-demand passes that
-        otherwise dominate the pass count (most flows finish alone on
-        their bottleneck, with every shared constraint slack)."""
+        is skipped iff :meth:`_departure_is_local` holds for it.  This
+        eliminates the single-drained-demand passes that otherwise
+        dominate the pass count (most flows finish alone on their
+        bottleneck, with every shared constraint slack)."""
         if self._dirty or self._pass_scheduled or len(constraint.demands) != 1:
             return False
         d = next(iter(constraint.demands))
@@ -1555,101 +1568,10 @@ class FairQueue:
             d._last_update = now
         if d.remaining > self.EPSILON:
             return False  # fired early (rate dropped since arming): re-rate
-        for c in d.constraints:
-            if c.group is not None:
-                return False
-            load = 0.0
-            maxr = 0.0
-            for d2 in c.demands:
-                if d2 is d:
-                    continue
-                rt = d2.rate
-                if rt <= 0.0 or d2._group is not None:
-                    return False
-                load += rt
-                if rt > maxr:
-                    maxr = rt
-            if maxr >= rate * TIE and load + rate >= c.capacity * TIE:
-                return False
+        if not self._departure_is_local(d, rate):
+            return False
         self.completion_fast_paths += 1
         self._unregister(d)
         if not d.done.triggered:
             d.done.succeed(d)
         return True
-
-    def _progressive_fill(self, affected: List[Demand],
-                          heap: List[tuple], seq: int) -> None:
-        """Generic progressive filling over one multi-bottleneck component.
-
-        Per-constraint residual capacity and unfrozen counts (freezing is
-        recorded by stamping demands with this pass's id) plus a lazy
-        min-heap of (fair share, constraint) candidates.  Heap entries
-        self-validate on pop: shares only grow as competitors freeze, so a
-        stale entry is re-pushed with its recomputed share.  Instead of a
-        timer per demand, each bottleneck arms one group timer at its
-        frozen set's earliest finish."""
-        self._fill_id += 1
-        pid = self._fill_id  # this pass's fill-mark stamp
-        heapq.heapify(heap)
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-
-        remaining_demands = len(affected)
-        while remaining_demands > 0 and heap:
-            share, _, link = heappop(heap)
-            n = link._ucount
-            if n == 0:
-                continue  # all this constraint's demands froze elsewhere
-            cur = link._residual / n
-            if cur > share:
-                heappush(heap, (cur, seq, link))
-                seq += 1
-                continue  # stale entry: competitors froze since the push
-            if cur <= 0.0:
-                # Degenerate residual (floating-point underflow after many
-                # freeze rounds).  A zero rate would strand the demand with
-                # no timer; fall back to an exactly recomputed residual, or
-                # a plain fair split of the constraint (the oversubscription
-                # is bounded by the rounding residue).
-                frozen_sum = 0.0
-                unfrozen = 0
-                for d in link.demands:
-                    if d._group is not None:
-                        frozen_sum += d._group.share()
-                    elif d._fill_mark == pid:
-                        frozen_sum += d.rate
-                    else:
-                        unfrozen += 1
-                exact = link.capacity - frozen_sum
-                if exact > 0.0:
-                    cur = exact / unfrozen
-                else:
-                    cur = link.capacity / len(link.demands)
-                self.starvation_rescues += unfrozen
-            best_share = cur
-            min_remaining = float("inf")
-            for d in link.demands:
-                if d._fill_mark == pid or d._group is not None:
-                    continue
-                d._fill_mark = pid
-                d.rate = best_share
-                d._bneck = link
-                if d.remaining < min_remaining:
-                    min_remaining = d.remaining
-                remaining_demands -= 1
-                for c2 in d.constraints:
-                    r = c2._residual - best_share
-                    c2._residual = r if r > 0.0 else 0.0
-                    c2._ucount -= 1
-            if min_remaining != float("inf"):
-                self._arm_bottleneck_timer(link, min_remaining / best_share)
-
-        if remaining_demands > 0:
-            # Belt-and-braces: the heap ran dry with unfrozen demands left
-            # (cannot happen for well-formed components, but a zero rate
-            # must never hang the simulation).
-            for d in affected:
-                if d._fill_mark != pid:
-                    d.rate = 0.0
-                    d._bneck = None
-                    self.ensure_progress(d)

@@ -207,14 +207,14 @@ class CallbackTimer(Event):
     is a plain call loop.
 
     Timers created through :meth:`~repro.sim.engine.Simulator.call_at`
-    are *shared per timestamp* (the ``wakeup_at`` contract): ``when``
-    holds the registry key while registered, and the dispatch removes the
-    key with an identity check so a successor registered under the same
-    key is never evicted.  Fired timers are recycled into the simulator's
-    free list — never retain one past its fire.
+    are *shared per timestamp*: ``when`` holds the registry key while
+    registered, and the dispatch removes the key with an identity check
+    so a successor registered under the same key is never evicted.  Fired
+    timers are recycled into the simulator's free list — never retain one
+    past its fire.
 
     Do not ``yield`` a CallbackTimer from a process; use
-    ``sim.timeout`` / ``sim.wakeup_at`` for events processes wait on.
+    ``sim.timeout`` for events processes wait on.
     """
 
     __slots__ = ("when", "_fns")
@@ -253,19 +253,11 @@ class CallbackTimer(Event):
         while i < n:
             fns[i](fns[i + 1])
             i += 2
-        callbacks = self.callbacks
-        self.callbacks = None
-        if callbacks:
-            # wakeup_at-style waiters ride along after the direct calls.
-            for cb in callbacks:
-                cb(self)
-            callbacks.clear()
         fns.clear()
         pool = sim._timer_pool
         if len(pool) < sim._pool_cap:
-            # Recycle the object *and* its list allocations.
+            # Recycle the object *and* its list allocation.
             self._fns = fns
-            self.callbacks = callbacks
             pool.append(self)
 
 
@@ -555,9 +547,6 @@ class EngineProfile:
             fns = event._fns
             if fns:
                 self.timer_callbacks_run += len(fns) >> 1
-            callbacks = event.callbacks
-            if callbacks:
-                self.callbacks_run += len(callbacks)
             return
         callbacks = event.callbacks
         if callbacks:

@@ -230,6 +230,39 @@ class TestRegionPass:
             assert live_rate(d) == pytest.approx(r, rel=1e-9)
 
 
+class TestFillRescue:
+    """The filling kernel's degenerate-residual rescue, driven directly:
+    scratch as a pass leaves it after float underflow — no residual
+    left on a link that still has unfrozen demands."""
+
+    def _degenerate(self):
+        sim = Simulator()
+        q = FairQueue(sim)
+        link = q.constraint("link", 100.0)
+        frozen, a, b = (q.submit(1e6, [link]) for _ in range(3))
+        q._fill_id += 1
+        fid = q._fill_id
+        frozen._fill_mark = fid  # frozen earlier in this fill at 40 B/s
+        frozen.rate = 40.0
+        link._residual = 0.0
+        link._ucount = 2
+        return q, link, (a, b), fid
+
+    def test_component_fill_rescues_the_level(self):
+        q, link, (a, b), fid = self._degenerate()
+        bnecks = q._fill(2, [link], [link.demands], fid, True)
+        # The exactly recomputed residual (100 - 40) is split evenly.
+        assert bnecks == [(link, pytest.approx(30.0), 1e6)]
+        assert a.rate == b.rate == pytest.approx(30.0)
+        assert a._bneck is link and b._bneck is link
+        assert q.starvation_rescues == 2
+
+    def test_region_fill_declines_without_rescue(self):
+        q, link, _, fid = self._degenerate()
+        assert q._fill(2, [link], [link.demands], fid, False) is None
+        assert q.starvation_rescues == 0
+
+
 class TestSubComponentFastPaths:
     """Arrival/departure re-rating without a filling pass, where exact."""
 

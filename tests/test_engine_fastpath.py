@@ -5,7 +5,7 @@ Covers the fast paths introduced for raw event throughput — the
 ``Timeout``/``CallbackTimer`` free lists, and batched same-instant
 dispatch — plus the ordering contracts those paths rely on (FIFO
 tie-break, URGENT before NORMAL, split-run equivalence) and the engine
-bugfixes shipped alongside (``wakeup_at`` identity-guarded cleanup,
+bugfixes shipped alongside (``call_at`` identity-guarded cleanup,
 late-child-failure defusing, ``Interrupt().cause`` without args).
 """
 
@@ -59,18 +59,6 @@ def test_call_at_in_the_past_fires_now():
     assert sim.now == 10.0
 
 
-def test_call_at_and_wakeup_at_share_one_timer():
-    sim = Simulator()
-    order = []
-    ev = sim.wakeup_at(4.0)
-    t = sim.call_at(4.0, lambda _a: order.append("fn"))
-    assert ev is t
-    ev.callbacks.append(lambda _e: order.append("cb"))
-    sim.run()
-    # call_at pairs run before wakeup_at-style waiters on a shared timer.
-    assert order == ["fn", "cb"]
-
-
 def test_call_soon_runs_before_normal_events_at_same_instant():
     sim = Simulator()
     order = []
@@ -95,15 +83,15 @@ def test_timer_registry_key_removed_before_callbacks_run():
     assert seen["fired"] == 2.0
 
 
-# -- bugfix: wakeup_at cleanup identity guard ---------------------------------
+# -- bugfix: call_at cleanup identity guard ----------------------------------
 
-def test_wakeup_at_successor_not_evicted_by_stale_cleanup():
+def test_call_at_successor_not_evicted_by_stale_cleanup():
     """A successor timer registered under a reused timestamp key must
     survive the predecessor's cleanup (the dict-aliasing pitfall): the
-    cleanup checks identity before popping the key.  Failed before the
-    fix — the predecessor's dispatch blindly popped the key, so the
-    successor was evicted while still pending and later same-key callers
-    got a THIRD timer instead of sharing the live one.
+    cleanup checks identity before popping the key.  Without the check
+    the predecessor's dispatch blindly pops the key, so the successor is
+    evicted while still pending and later same-key callers get a THIRD
+    timer instead of sharing the live one.
     """
     sim = Simulator()
     seen = {}
@@ -113,14 +101,14 @@ def test_wakeup_at_successor_not_evicted_by_stale_cleanup():
         # path) and a successor registers under the same timestamp while
         # the predecessor's timer is still about to dispatch its cleanup.
         del sim._wakeups[5.0]
-        seen["successor"] = sim.wakeup_at(5.0)
+        seen["successor"] = sim.call_at(5.0, lambda _x: None)
 
-    ev1 = sim.wakeup_at(5.0)
-    ev1.callbacks.append(lambda _e: seen.setdefault("shared", sim.wakeup_at(5.0)))
+    sim.call_at(5.0, lambda _a: seen.setdefault(
+        "shared", sim.call_at(5.0, lambda _x: None)))
     sim.call_after(4.0, hijack)
     sim.run()
-    # After ev1 fires (and cleans up), a same-instant caller must share
-    # the still-pending successor — not get a fresh third timer.
+    # After the first timer fires (and cleans up), a same-instant caller
+    # must share the still-pending successor — not get a fresh third one.
     assert seen["shared"] is seen["successor"]
 
 

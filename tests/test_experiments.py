@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import calibration
+from repro.scenarios import calibration
 from repro.experiments.common import (
     HogRunSettings,
     paper_sites_with_policy,

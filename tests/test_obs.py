@@ -285,6 +285,17 @@ class TestDiffEngine:
                    if e.key == "hdfs.blocks_all_replicas_lost"]
         assert entries and entries[0].flag
 
+    def test_counter_only_in_old_record_is_informational(self):
+        """A channel counter a later commit deleted (the old record still
+        carries it) shows up as one-sided drift, never as a regression."""
+        old = self._record()
+        old["channel"]["uniform_fast_accepts"] = 4515
+        entries = [e for e in diff_records(old, self._record())
+                   if e.key == "channel.uniform_fast_accepts"]
+        assert len(entries) == 1
+        assert (entries[0].old, entries[0].new) == (4515, None)
+        assert entries[0].flag is None
+
     def test_fault_metric_decrease_not_flagged(self):
         old = self._record(
             faults={"convergence": {"under_replicated_final": 3}})
