@@ -3,7 +3,7 @@
 An :class:`InvariantChecker` evaluates a set of registered invariants —
 consistency predicates over namenode metadata, jobtracker task state,
 simulator heaps, tracer accounting, and the channel core's max-min
-allocation — on a sim-time cadence and/or at
+allocation and bottleneck timers — on a sim-time cadence and/or at
 phase boundaries.  Faults are only as trustworthy as the recovery they
 exercise; the checker is what turns "the run finished" into "the run
 finished *and* the metadata reconverged".
@@ -95,6 +95,7 @@ class InvariantChecker:
         self.register("no_orphan_attempts", self._inv_no_orphans)
         self.register("tracer_accounting", self._inv_tracer)
         self.register("channel_max_min", self._inv_channel_max_min)
+        self.register("channel_timers", self._inv_channel_timers)
 
     # -- lifecycle (ProbeSet idiom) ----------------------------------------
     def start(self) -> None:
@@ -325,4 +326,30 @@ class InvariantChecker:
                 out.append(f"demand {d!r} on "
                            f"{[c.name for c in d.constraints]} has no "
                            f"bottleneck")
+        return out
+
+    def _inv_channel_timers(self) -> List[str]:
+        """Every rated demand will be woken: each ungrouped live demand
+        with a positive rate has a live timer on its recorded bottleneck,
+        due at or before its finish (within the tie tolerance).  Region
+        passes seed from recorded bottlenecks, so a demand without one
+        would never complete.  Only checked while the queue is settled."""
+        fabric = getattr(self.system, "fabric", None)
+        if fabric is None:
+            return []
+        q = fabric.channel
+        if q._dirty or q._pass_scheduled:
+            return []
+        out = []
+        for d in q._live:
+            rate = d.rate
+            if d._group is not None or rate <= 0.0:
+                continue
+            b = d._bneck
+            due = None if b is None else b._timer_at
+            finish = d._last_update + d.remaining / rate
+            if due is None or due * TIE > finish:
+                where = "no bottleneck" if b is None else b.name
+                out.append(f"demand {d!r} finishing at {finish!r} has no "
+                           f"timer due by then on {where} (due {due!r})")
         return out

@@ -61,13 +61,18 @@ bottleneck timer fires on a constraint whose lone demand has drained.
 **Region passes.**  Most dirty batches change a few rates inside a
 large component (shuffle fan-ins and replication pipelines chain many
 demands together through per-node disk and NIC constraints).  A pass
-therefore re-rates a *region*, not the component: R starts as the
-ungrouped demands on the dirty constraints, C is the set of their
-non-slack constraints, and every demand outside R keeps its rate as a
-fixed load on C.  R is progressively filled into the residual capacity
-``capacity - (rates of demands outside R)``; each demand records the
-constraint it froze at (``Demand._bneck``, kept by every path that sets
-a rate).
+therefore re-rates a *region*, not the component.  Each demand records
+the constraint it froze at (``Demand._bneck``, kept by every path that
+sets a rate), and only a change there can speed it up: R starts as the
+ungrouped demands on the dirty constraints whose recorded bottleneck is
+dirty too, or unknown.  (On a group-owned dirty constraint every
+ungrouped demand starts in R: the pass must re-record the group's
+foreign load there.)  C is the set of R's non-slack constraints, and
+every demand outside R keeps its rate as a fixed load on C.  R is
+progressively filled into the residual capacity ``capacity - (rates of
+demands outside R)``.  A uniform group met on C is *pinned*: its members
+are a fixed load of ``k * share``, exact while ``capacity - k * share >=
+n_foreign * share`` and no foreign level ends below the share.
 
 **The certificate.**  An allocation is max-min fair iff it is feasible
 and every demand has a *bottleneck*: a saturated constraint on which its
@@ -80,15 +85,23 @@ constraint's load and sharers did not move); one bottlenecked on a C
 constraint passes in bulk while that constraint stays saturated with
 nobody faster; any other must find a saturated constraint where it is
 rate-maximal, or join R.  The fill repeats until nothing joins, and
-only then are bottleneck timers armed.
+only then are the fill's bottleneck timers armed.
+
+**The timer rule.**  A bottleneck timer wakes only the demands recorded
+at its constraint, so every rated demand's recorded bottleneck carries a
+timer due by its finish.  Fills arm one per bottleneck; when the
+certificate moves an outside demand's bottleneck, it aims the new
+constraint's timer at that demand's finish (the runtime
+``channel_timers`` invariant checks this).
 
 **Fallback to whole-component passes.**  The component walk below still
 runs when the region is *closed* (no outside demand on C: the region is
 whole components, and the component path gives byte-identical results
-and can form uniform groups), when C meets a group-owned constraint
-(clock-managed rates are not plain fixed loads), or when an outside
-sharer is starved.  A fallback decision is taken before any demand is
-completed, so it always re-runs from the original dirty set.
+and can form uniform groups), when C meets a group's own bottleneck
+(the virtual clock cannot carry foreign load there), when a pin is
+inexact, or when an outside sharer is starved.  A fallback decision is
+taken before any demand is completed, so it always re-runs from the
+original dirty set.
 
 **Tie contract.**  Demands frozen at one bottleneck may get equal rates
 from different float expressions (a region pass and a component pass
@@ -702,7 +715,8 @@ class FairQueue:
         #: Certificate rounds that grew a region by failing demands.
         self.region_expansions = 0
         #: Batches that fell back to whole-component passes (closed
-        #: region, group-owned constraint, or starved outside sharer).
+        #: region, a group's own bottleneck, inexact pin, or starved
+        #: outside sharer).
         self.region_fallbacks = 0
         #: Arrivals rated exactly from local residuals (no filling pass).
         self.arrival_fast_paths = 0
@@ -987,10 +1001,10 @@ class FairQueue:
             return
         # A dirty constraint owned by a uniform group does NOT dissolve
         # it: the pass pins the members at the clock share and re-rates
-        # only the foreign demands (see _fill_component).  The single
-        # exception is the group's own bottleneck with its members-only
-        # invariant broken — a foreign demand landed there, and the
-        # virtual clock cannot represent that.
+        # only the foreign demands (see _region_pass, _fill_component).
+        # The single exception is the group's own bottleneck with its
+        # members-only invariant broken — a foreign demand landed there,
+        # and the virtual clock cannot represent that.
         for c in list(self._dirty):
             g = c.group
             if g is not None and c is g.constraint and \
@@ -1014,18 +1028,21 @@ class FairQueue:
                         self._fill_component(d, wid)
 
     def _region_pass(self, seeds: Dict[Constraint, None]) -> bool:
-        """Re-rate only the demands on ``seeds``, certified locally.
+        """Re-rate the demands ``seeds`` can move, certified locally.
 
         The region R starts as the ungrouped demands on the dirty
-        constraints; C is the set of their non-slack constraints.  Every
-        demand outside R keeps its rate as a fixed load on C, and R is
-        progressively filled into the residual capacity.  The bottleneck
-        property then certifies the result (see the module docstring);
-        demands that fail it join R and the fill repeats.  Returns False,
-        having changed nothing but lazy progress and scratch state, when
-        the whole-component path must run instead: R is closed (no
-        outside demand on C), C meets a uniform group, or an outside
-        sharer is starved."""
+        constraints that are recorded-bottlenecked there (or unrated),
+        and every ungrouped demand on a group-owned one; C is the set of
+        their non-slack constraints.  Every demand outside R keeps its
+        rate as a fixed load on C, uniform-group members pinned at the
+        clock share among them, and R is progressively filled into the
+        residual capacity.  The bottleneck property then certifies the
+        result (see the module docstring); demands that fail it join R
+        and the fill repeats.  Returns False, having changed nothing but
+        lazy progress, region rates and scratch state, when the
+        whole-component path must run instead: R is closed (no outside
+        demand on C), C meets a group's own bottleneck, a pin is inexact,
+        or an outside sharer is starved."""
         self._walk_id += 1
         rid = self._walk_id
         now = self.sim.now
@@ -1034,12 +1051,18 @@ class FairQueue:
         links: List[Constraint] = []
         fresh: List[Demand] = []
         for seed in seeds:
+            # Only a demand bottlenecked here (or unrated) can move; the
+            # rest keep their rates unless the certificate pulls them in.
+            # A group-owned seed re-rates all its foreign demands: the
+            # pass must re-record the group's foreign load there.
+            owned = seed.group is not None
             for d in seed.demands:
-                if d._visit != rid and d._group is None:
+                if d._visit != rid and d._group is None and (
+                        owned or d._bneck is seed or d._bneck is None):
                     d._visit = rid
                     fresh.append(d)
         if not fresh:
-            return True  # only clock-managed demands: nothing to re-rate
+            return True  # nobody bottlenecked here: nothing to re-rate
         inf = float("inf")
         first = True
         expansions = 0
@@ -1061,16 +1084,31 @@ class FairQueue:
             sid = self._fill_id
             suspects: List[Demand] = []
             rlists: List[List[Demand]] = []
+            pinned: List[Constraint] = []
             outside = 0
             for c in links:
                 load = 0.0
                 omax = 0.0
+                g = c.group
+                if g is not None:
+                    # Pin the members at the clock share: a fixed load,
+                    # exact while the foreign demands could each get it.
+                    share = g.share()
+                    k = g.counts[c]
+                    load = k * share
+                    if c.capacity - load < (len(c.demands) - k) * share:
+                        return False
+                    omax = share
+                    outside += k
+                    pinned.append(c)
                 obmin = inf
                 rl: List[Demand] = []
                 for d2 in c.demands:
                     if d2._visit != rid:
+                        if d2._group is not None:
+                            continue  # pinned member: in ``load`` above
                         rt = d2.rate
-                        if rt <= 0.0 or d2._group is not None:
+                        if rt <= 0.0:
                             return False
                         load += rt
                         if rt > omax:
@@ -1105,11 +1143,15 @@ class FairQueue:
             # outside demand on b to be no faster than it.
             self._fill_id += 1
             cid = self._fill_id
+            short = False
             for link, level, _ in bnecks:
+                g = link.group
+                if g is not None and level < g.share() * TIE:
+                    short = True  # a pinned member would outpace it
                 if link._omax * TIE > level:
                     for e in link.demands:
                         if e._visit != rid and e._fill_mark != cid and \
-                                e.rate * TIE > level:
+                                e.rate * TIE > level and e._group is None:
                             e._fill_mark = cid
                             fresh.append(e)
             # (2) An outside demand frozen at a C constraint keeps it while
@@ -1137,6 +1179,15 @@ class FairQueue:
             if not fresh:
                 break
             expansions += 1
+        if short:
+            return False
+        if pinned:
+            for c in pinned:
+                g = c.group
+                avail = c.capacity - g.counts[c] * g.share()
+                r = c._residual
+                g.set_foreign(c, avail - r if r < avail else 0.0)
+            self.uniform_pins += 1
 
         self.rebalances += 1
         self.region_passes += 1
@@ -1173,7 +1224,7 @@ class FairQueue:
                       links: List[Constraint]) -> bool:
         """Move ``fresh`` (emptied) into region ``rid``: advance each
         demand to ``now`` and stamp its constraints (the non-slack ones
-        join C).  False when C meets a uniform group's span."""
+        join C).  False when C meets a uniform group's bottleneck."""
         eps = self.EPSILON
         for d in fresh:
             d._visit = rid
@@ -1190,7 +1241,8 @@ class FairQueue:
                 if c._visit != rid:
                     c._visit = rid
                     if c._unbounded or c._bound_sum >= c._slack_below:
-                        if c.group is not None:
+                        g = c.group
+                        if g is not None and c is g.constraint:
                             return False
                         links.append(c)
         fresh.clear()
@@ -1277,7 +1329,8 @@ class FairQueue:
     def _certify(self, e: Demand, rid: int) -> bool:
         """True when outside demand ``e`` has a bottleneck after the
         region fill: a saturated constraint where its rate is maximal (up
-        to the tie tolerance).  Records it as ``e._bneck``."""
+        to the tie tolerance).  Records it as ``e._bneck`` (see "The
+        timer rule")."""
         rate = e.rate
         for c in e.constraints:
             if c._unbounded == 0 and c._bound_sum < c._slack_below:
@@ -1299,7 +1352,12 @@ class FairQueue:
                 if load < c.capacity * TIE:
                     continue
             if rate >= m * TIE:
-                e._bneck = c
+                if e._bneck is not c:
+                    # The timer rule: only c's timer wakes e from now
+                    # on, so aim it at e's (unchanged) finish.
+                    e._bneck = c
+                    self._arm_bottleneck_timer(
+                        c, e._last_update - self.sim.now + e.remaining / rate)
                 return True
         return False
 

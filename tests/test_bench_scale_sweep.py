@@ -51,6 +51,11 @@ class TestSmokeMode:
             assert record["arrival_fast_paths"] > 0
             assert record["completion_fast_paths"] > 0
             assert sum(record["pass_size_hist"]) > 0
+            # Region-pass counters ride along at top level.
+            assert record["region_passes"] > 0
+            for key in ("region_expansions", "region_fallbacks",
+                        "uniform_pins"):
+                assert record[key] >= 0
         # The contended scenario doubles the shuffled bytes on half-speed
         # disks: it must produce strictly more concurrent demand pressure.
         assert cont["peak_demands"] >= base["peak_demands"]

@@ -4,7 +4,9 @@ The centrepiece is a randomized property test comparing the incremental
 engine's allocations against a brute-force O(n²) progressive-filling
 reference over random constraint topologies (hypothesis-driven, and a
 seeded submit/abort harness that drives region passes through their
-expansion and fallback paths), plus exact-timestamp tests for
+expansion and fallback paths), a completion-time oracle running whole
+random workloads against a brute-force fluid reference, targeted
+region-seeding and group-pinning cases, plus exact-timestamp tests for
 multi-bottleneck completions, uniform (virtual-clock) groups, the
 slack-constraint shortcut, fast-path tie tolerance, and per-site
 partition decoupling.
@@ -228,6 +230,190 @@ class TestRegionPass:
         want = reference_max_min(demand_links, caps)
         for d, r in zip(chain + [late], want):
             assert live_rate(d) == pytest.approx(r, rel=1e-9)
+
+
+def reference_finish_times(caps, jobs):
+    """Brute-force fluid run: ``jobs`` is a list of ``(arrive, links,
+    size, abort)`` (``abort`` None or an absolute time).  Between events
+    every live demand drains at its :func:`reference_max_min` rate.
+    Returns each job's finish time, or None if it was aborted first."""
+    n = len(jobs)
+    remaining = [size for _, _, size, _ in jobs]
+    finish = [None] * n
+    state = ["pending"] * n  # -> live -> done | aborted
+    t = 0.0
+    while True:
+        for i, (arrive, _, _, abort) in enumerate(jobs):
+            if state[i] == "pending" and arrive <= t:
+                state[i] = "live"
+            if state[i] == "live" and abort is not None and abort <= t:
+                state[i] = "aborted"
+        live = [i for i in range(n) if state[i] == "live"]
+        upcoming = [a for a, _, _, _ in jobs if a > t]
+        upcoming += [jobs[i][3] for i in live if jobs[i][3] is not None]
+        if not live and not upcoming:
+            return finish
+        rates = reference_max_min([jobs[i][1] for i in live], caps)
+        step = min(upcoming) - t if upcoming else math.inf
+        for i, r in zip(live, rates):
+            step = min(step, remaining[i] / r)
+        for i, r in zip(live, rates):
+            remaining[i] -= r * step
+        t += step
+        for i in live:
+            if remaining[i] <= 1e-9 * jobs[i][2]:
+                state[i] = "done"
+                finish[i] = t
+
+
+def run_completion_oracle(seed, ties):
+    """One seeded random topology of finite demands with staggered (and
+    same-instant) arrivals and aborts, run to completion.  ``ties`` draws
+    round capacities and sizes and duplicates demands, so demands often
+    sit at one level on several saturated constraints (sizes stay large
+    next to ``FairQueue.EPSILON``, which may finish a demand that much
+    early).  Returns the queue and the jobs' finish times next to the
+    reference's."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    q = FairQueue(sim)
+    n_cons = rng.randint(2, 8)
+    if ties:
+        caps = [rng.choice((5e5, 1e6, 1.5e6)) for _ in range(n_cons)]
+    else:
+        caps = [rng.choice((rng.uniform(20.0, 200.0), 100.0, 50.0))
+                for _ in range(n_cons)]
+    cons = [q.constraint(f"c{i}", cap) for i, cap in enumerate(caps)]
+    abort_within = 2.0 if ties else 20.0
+    jobs = []
+    for _ in range(rng.randint(2, 6) if ties else rng.randint(3, 14)):
+        if ties:
+            arrive = rng.choice((0.0, 0.0, 0.5))
+            size = rng.choice((1e4, 2e4, 3e4))
+        else:
+            arrive = rng.choice((0.0, 0.0, 5.0, rng.uniform(0.0, 30.0)))
+            size = rng.uniform(10.0, 2000.0)
+        links = sorted(rng.sample(range(n_cons),
+                                  min(rng.choice((1, 2, 3, 4)), n_cons)))
+        for _ in range(rng.choice((1, 2)) if ties else 1):
+            abort = (arrive + rng.uniform(0.01, abort_within)
+                     if rng.random() < 0.25 else None)
+            jobs.append((arrive, links, size, abort))
+    finish = [None] * len(jobs)
+
+    def start(i):
+        _, links, size, abort = jobs[i]
+        d = q.submit(size, [cons[c] for c in links])
+        d.done.defused()
+        d.done.callbacks.append(
+            lambda ev: finish.__setitem__(i, sim.now) if ev.ok else None)
+        if abort is not None:
+            sim.call_at(abort, lambda _: q.abort(d, RuntimeError("abort")))
+
+    for i, (arrive, _, _, _) in enumerate(jobs):
+        sim.call_at(arrive, lambda _, i=i: start(i))
+    sim.run()
+    return q, finish, reference_finish_times(caps, jobs)
+
+
+class TestCompletionOracle:
+    """Whole runs against a brute-force fluid reference: every demand
+    must finish, and at the reference's instant.  Rate checks alone miss
+    a demand whose rate is right but whose bottleneck timer never fires
+    (rare: it takes a demand tied at two saturated constraints losing the
+    recorded one, hence the many tie-prone runs)."""
+
+    @pytest.mark.parametrize("ties,seeds", [(False, 400), (True, 2000)])
+    def test_seeded_runs_finish_at_reference_times(self, ties, seeds):
+        for seed in range(seeds):
+            q, have, want = run_completion_oracle(seed, ties)
+            assert not q._live, f"seed {seed}: {len(q._live)} left live"
+            for i, (h, w) in enumerate(zip(have, want)):
+                assert (h is None) == (w is None), f"seed {seed} job {i}"
+                if w is not None:
+                    assert h == pytest.approx(w, rel=1e-6), (
+                        f"seed {seed} job {i}")
+
+
+class TestBottleneckSeeding:
+    """Region passes seed only the demands a change can move: those
+    recorded-bottlenecked on a dirty constraint (or unrated), plus every
+    foreign demand on a group-owned one."""
+
+    def test_departure_freeing_nobodys_bottleneck_runs_no_pass(self):
+        """s (bottlenecked at b) ties with x on c, so the departure fast
+        path declines; but nobody is recorded-bottlenecked at c, so the
+        pass seeds nobody and re-rates nothing."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c = q.constraint("c", 100.0)
+        b = q.constraint("b", 50.0)
+        s = q.submit(1e6, [c, b])
+        x = q.submit(1e6, [c])
+        sim.run(until=1.0)
+        assert (s._bneck, x._bneck) == (b, c)
+        passes = q.rebalances
+        q.abort(x, RuntimeError("cancelled"))
+        sim.run(until=1.0)
+        assert q.departure_fast_paths == 0
+        assert q.rebalances == passes
+        assert s.rate == pytest.approx(reference_max_min([[0, 1]],
+                                                         [100.0, 50.0])[0])
+
+    def test_arrival_squeezing_an_incumbent_expands_the_region(self):
+        """y seeds alone (s is bottlenecked at b); y's level on c is
+        below s's rate, so the certificate pulls s in once."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c = q.constraint("c", 100.0)
+        b = q.constraint("b", 70.0)
+        s = q.submit(1e6, [c, b])
+        sim.run(until=1.0)
+        passes, expansions = q.region_passes, q.region_expansions
+        y = q.submit(1e6, [c])
+        sim.run(until=1.0)
+        assert q.region_passes == passes + 1
+        assert q.region_expansions == expansions + 1
+        want = reference_max_min([[0, 1], [0]], [100.0, 70.0])
+        assert [s.rate, y.rate] == pytest.approx(want, rel=1e-9)
+
+    def test_group_owned_constraint_seeds_every_foreign_demand(self):
+        """Seeding an owned constraint by bottleneck alone leaves the
+        group's recorded foreign load stale; a later member abort then
+        overloads the shared constraint (this seed did, at op 8)."""
+        run_region_harness(14, 74)
+
+    def test_stale_member_rates_never_join_the_region(self):
+        """After a join the old members' ``rate`` still reads the old
+        share (25 > 20).  A region level of 23 on the shared constraint
+        pulls the faster foreign f3 in, but never a member: the pin
+        holds and the pass needs no fallback."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        caps = [100.0, 163.0, 40.0, 30.0] + [100.0] * 5
+        src, site, z, x, *privates = (q.constraint(f"c{i}", cap)
+                                      for i, cap in enumerate(caps))
+        members = [q.submit(1e6, [src, site, privates[i]]) for i in range(4)]
+        sim.run(until=1.0)
+        members.append(q.submit(1e6, [src, site, privates[4]]))
+        group = members[0]._group
+        assert members[4]._group is group and members[0].rate == 25.0
+        f3 = q.submit(1e6, [site, z])
+        g = q.submit(1e6, [x])
+        f1 = q.submit(1e6, [site, x])
+        g.done.defused()
+        sim.run(until=2.0)
+        assert (f1.rate, f1._bneck) == (15.0, x)
+        fallbacks, expansions = q.region_fallbacks, q.region_expansions
+        q.abort(g, RuntimeError("cancelled"))
+        sim.run(until=2.0)
+        assert q.region_fallbacks == fallbacks
+        assert q.region_expansions == expansions + 1
+        assert members[0]._group is group
+        want = reference_max_min([[0, 1, 4 + i] for i in range(5)]
+                                 + [[1, 2], [1, 3]], caps)
+        have = [live_rate(d) for d in members + [f3, f1]]
+        assert have == pytest.approx(want, rel=1e-9)
 
 
 class TestFillRescue:
@@ -635,7 +821,8 @@ class TestGroupCoexistence:
 
     def test_foreign_flow_coexists_with_pinned_group(self):
         """A foreign demand sharing a span constraint is rated into the
-        residual capacity; the group neither dissolves nor re-rates."""
+        residual capacity; the group neither dissolves nor re-rates.  The
+        re-rating is a region pass that pins the group (no fallback)."""
         sim = Simulator()
         q = FairQueue(sim)
         src = q.constraint("src", 100.0)
@@ -646,6 +833,7 @@ class TestGroupCoexistence:
         sim.run(until=1.0)
         group = members[0]._group
         assert group is not None
+        passes, fallbacks = q.region_passes, q.region_fallbacks
         fp = q.constraint("fp", 300.0)
         foreign = q.submit(900.0, [site, fp])
         sim.run(until=1.0)
@@ -653,7 +841,14 @@ class TestGroupCoexistence:
         # the foreign demand got the site residual 250 - 4*25 = 150.
         assert members[0]._group is group
         assert q.uniform_pins == 1
-        assert foreign.rate == pytest.approx(150.0)
+        assert (q.region_passes, q.region_fallbacks) == (passes + 1,
+                                                         fallbacks)
+        assert group._foreign == {site: pytest.approx(150.0)}
+        want = reference_max_min([[0, 1, 3 + i] for i in range(4)]
+                                 + [[1, 2]], [100.0, 250.0, 300.0]
+                                 + [100.0] * 4)
+        have = [live_rate(d) for d in members + [foreign]]
+        assert have == pytest.approx(want, rel=1e-9)
         sim.run(until=foreign.done)
         assert sim.now == pytest.approx(1.0 + 900.0 / 150.0)
         for m in members:

@@ -4,6 +4,8 @@ payloads with it off and on)."""
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.faults import InvariantChecker
 from repro.hdfs import hog_config
 from repro.hdfs.config import MB
@@ -180,10 +182,46 @@ class TestChannelMaxMin:
         assert "off its group's clock" in checker.violations[0].detail
 
     def test_unsettled_queue_is_not_judged(self):
-        q, checker, _, b = settled_channel()
+        q, checker, a, b = settled_channel()
         b.rate *= 0.9
+        a._bneck._timer_at = None
         q._mark_dirty()
         assert checker.check("poke") == 0
+
+
+class TestChannelTimers:
+    def test_cleared_timer_flagged(self):
+        """a would never be woken: nothing fires on its bottleneck."""
+        _, checker, a, _ = settled_channel()
+        a._bneck._timer_at = None
+        assert checker.check("poke") == 1
+        assert checker.violation_counts == {"channel_timers": 1}
+        assert "no timer due" in checker.violations[0].detail
+
+    def test_timer_due_after_finish_flagged(self):
+        """b sped up without re-aiming its timer: it would finish late."""
+        _, checker, _, b = settled_channel()
+        b._bneck._timer_at += 1.0
+        assert checker.check("poke") == 1
+        assert checker.violation_counts == {"channel_timers": 1}
+
+
+class TestRealTraffic:
+    """The channel's exactness contracts, checked on every registry
+    scenario's own traffic (shuffles, replication, faults) rather than
+    on random topologies: zero violations of any invariant."""
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(n, marks=pytest.mark.slow) if n == "contended" else n
+        for n in registry.names()])
+    def test_scenario_certifies_clean(self, name):
+        spec = registry.build(name, n_nodes=24, seed=0,
+                              scale=0.02 if name == "contended" else 0.04)
+        spec.obs.check_invariants = True
+        spec.obs.invariant_interval = 5.0
+        inv = ScenarioRunner(spec).run().invariants
+        assert inv["checks_run"] > 100
+        assert inv["by_invariant"] == {}, inv["first_violations"]
 
 
 class TestZeroImpact:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.metrics import StepSeries
 from repro.net import (
@@ -112,9 +112,13 @@ class TestFabricProperties:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                               st.floats(min_value=1.0, max_value=1e4)),
                     min_size=1, max_size=12))
+    @example([(0, 0, 1.0), (0, 0, 1.0), (1, 1, 3.0), (1, 1, 3.0),
+              (4, 0, 1.0), (4, 0, 1.0)])
     def test_all_transfers_complete_and_conserve_time(self, transfers):
         """Every transfer completes, and no transfer beats its uncontended
-        lower bound."""
+        lower bound.  (The pinned example ties flows 1,1 at their NIC and
+        their WAN leg: when the 4,0 flows drain, the region certificate
+        moves their bottleneck to the NIC, which must get a timer.)"""
         sim = Simulator()
         topo = NetworkTopology(DnsSiteResolver())
         fabric = NetworkFabric(sim, topo, FabricConfig(
