@@ -134,12 +134,9 @@ def run_point(n_nodes: int, scale: float, seed: int,
         "arrival_fast_paths": result.channel["arrival_fast_paths"],
         "departure_fast_paths": result.channel["departure_fast_paths"],
         "completion_fast_paths": result.channel["completion_fast_paths"],
-        # Region passes (dirty neighbourhoods certified by the bottleneck
-        # property), certificate expansions, whole-component fallbacks,
-        # and passes that pinned a live uniform group.
-        "region_passes": result.channel["region_passes"],
+        # Region-pass rounds that grew the region, and passes that pinned
+        # a live uniform group.
         "region_expansions": result.channel["region_expansions"],
-        "region_fallbacks": result.channel["region_fallbacks"],
         "uniform_pins": result.channel["uniform_pins"],
         # Power-of-two histogram of filling-pass component sizes (bucket i
         # counts passes over [2^(i-1), 2^i) demands; trailing zeros trimmed).

@@ -181,8 +181,7 @@ class HOGSystem:
             "cross_partition_passes", "arrival_fast_paths",
             "departure_fast_paths", "completion_fast_paths",
             "starvation_rescues", "peak_demands",
-            "region_passes", "region_expansions", "region_fallbacks",
-            "pass_size_hist"))
+            "region_expansions", "pass_size_hist"))
         reg.bind_attrs("channel", self.fabric, ("peak_flows",))
         reg.bind_snapshot("control", self.control_plane_stats)
         reg.bind_counterset("grid", self.factory.counters, prefix="glideins")

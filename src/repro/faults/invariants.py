@@ -282,10 +282,11 @@ class InvariantChecker:
         """The channel allocation is max-min fair, checked through the
         bottleneck property (within the channel's tie tolerance): no
         constraint carries more than its capacity, every positive-rate
-        demand has a saturated constraint where its rate is maximal, and
-        every uniform-group member sits at its group's share (the group
-        is live and alone on its bottleneck).  Only checked while the
-        queue is settled — a pending pass is about to re-rate."""
+        demand has a saturated constraint where its rate is maximal, a
+        starved (rate 0) demand has an ``ensure_progress`` retry pending,
+        and every uniform-group member sits at its group's share (the
+        group is live and alone on its bottleneck).  Only checked while
+        the queue is settled — a pending pass is about to re-rate."""
         fabric = getattr(self.system, "fabric", None)
         if fabric is None:
             return []
@@ -318,7 +319,9 @@ class InvariantChecker:
                            f"capacity {c.capacity!r}")
         for d, r in rated:
             if r <= 0.0:
-                continue  # starved: the retry timer owns it
+                if d._retry_at is None:
+                    out.append(f"demand {d!r} starved with no retry pending")
+                continue
             for c in d.constraints:
                 if load[c] >= c.capacity * TIE and r >= top[c] * TIE:
                     break

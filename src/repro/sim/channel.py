@@ -12,16 +12,18 @@ module; they contain no rate arithmetic of their own.
 Design
 ------
 
-**Incremental component passes.**  A demand arrival or departure
+**Incremental passes, closed regions.**  A demand arrival or departure
 re-rates at most the connected component of demands reachable from the
 constraints it touched (demands are vertices; sharing a constraint is an
-edge) — usually much less: see *region passes* below, which fall back to
-this walk.  Components are discovered by a walk seeded from the dirty
-constraints, fused with lazy progress advancement: each demand's
-``remaining`` is drained up to *now* the moment the walk first sees it.
-Each component gets its **own** filling pass, so a batch of changes in
-two unrelated sites never merges their rate computations — and never
-defeats the fast paths below.
+edge) — usually much less: see *region passes* below, the one pass that
+sets rates.  A region is *closed* when no ungrouped demand outside it
+shares its constraints: it is then a union of whole components, filled
+with the kernel's degenerate-residual rescue on, and each bottleneck
+that carries only its own frozen demands is tried as a uniform group.
+Demands are advanced lazily: each demand's ``remaining`` is drained up
+to *now* the moment a pass first takes it in.  A batch of changes in two
+unrelated sites never merges their rate computations, since each
+bottleneck gets its own timer or group.
 
 **Per-constraint virtual clocks (uniform groups).**  When one constraint
 bottlenecks *every* demand of its component and each member's other
@@ -38,15 +40,15 @@ multi-bottleneck generalisation of the single-timer trick the disk
 channel and the fabric's single-bottleneck path used to implement twice,
 divergently.
 
-**One filling kernel, group timers per bottleneck.**  Region and
-component passes share one progressive-filling kernel (``_fill``): a lazy
-heap of per-constraint fair shares over residuals and unfrozen counts
-kept in constraint scratch slots.  Components the uniform test rejects
-(several bottlenecks, or shared side constraints) still never arm
+**One filling kernel, group timers per bottleneck.**  Every pass fills
+through one progressive-filling kernel (``_fill``): a lazy heap of
+per-constraint fair shares over residuals and unfrozen counts kept in
+constraint scratch slots.  Bottlenecks the uniform test rejects (shared
+side constraints, or a region that is not closed) still never arm
 per-demand timers.  The kernel freezes each demand at exactly one
 bottleneck constraint; all demands frozen at a constraint share its
 fair share, so one timer per bottleneck — aimed at that group's earliest
-finish — wakes the component at the exact next completion instant.  The
+finish — wakes the region at the exact next completion instant.  The
 resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
 re-checks and re-aims), so slowdowns never allocate timers.
@@ -94,26 +96,26 @@ certificate moves an outside demand's bottleneck, it aims the new
 constraint's timer at that demand's finish (the runtime
 ``channel_timers`` invariant checks this).
 
-**Fallback to whole-component passes.**  The component walk below still
-runs when the region is *closed* (no outside demand on C: the region is
-whole components, and the component path gives byte-identical results
-and can form uniform groups), when C meets a group's own bottleneck
-(the virtual clock cannot carry foreign load there), when a pin is
-inexact, or when an outside sharer is starved.  A fallback decision is
-taken before any demand is completed, so it always re-runs from the
-original dirty set.
+**Finishing in-region.**  Every batch finishes inside its region
+pass.  An inexact pin, or a fill level below a pinned group's share,
+dissolves the group and its members join R (they are left unrated, so
+the same pass must re-rate them).  A starved outside sharer is a
+suspect the certificate fails.  A non-positive level in an open region
+brings the outside sharers on C into R.  Each of these grows R and
+fills again, so a pass always ends certified.
 
 **Tie contract.**  Demands frozen at one bottleneck may get equal rates
-from different float expressions (a region pass and a component pass
-compute the same level differently) and so differ in the last bit.
-Every comparison that can *skip* re-rating — saturation and
-"rate-maximal" in the certificate, the departure and completion fast
-paths, and the runtime ``channel_max_min`` invariant — therefore uses
-one relative tolerance, :data:`TIE` (``x >= y * TIE``: x is at least y
-up to 1e-9).  An exact ``>=`` would judge a last-bit-slower survivor
-strictly slower than its leaver and skip a pass that was needed.  (The
-arrival fast path compares exactly: a last-bit miss there only declines
-the shortcut and runs a pass.)
+from different float expressions (a region level is a residual after
+other freezes; a pin or a later pass computes the same level from
+another sum) and so differ in the last bit.  Every comparison that can
+*skip* re-rating — saturation and "rate-maximal" in the certificate,
+the departure and completion fast paths, and the runtime
+``channel_max_min`` invariant — therefore uses one relative tolerance,
+:data:`TIE` (``x >= y * TIE``: x is at least y up to 1e-9).  An exact
+``>=`` would judge a last-bit-slower survivor strictly slower than its
+leaver and skip a pass that was needed.  (The arrival fast path compares
+exactly: a last-bit miss there only declines the shortcut and runs a
+pass.)
 
 **Heap batching.**  All wake-ups go through the coalescing
 :meth:`~repro.sim.engine.Simulator.call_at`, so the many groups that
@@ -171,7 +173,7 @@ class Constraint:
         #: Absolute sim time of the live bottleneck group timer (None if none).
         self._timer_at: Optional[float] = None
         self._timer_version = 0
-        #: Walk stamp (see FairQueue._rebalance) — avoids per-pass sets.
+        #: Region stamp (see FairQueue._region_pass) — avoids per-pass sets.
         self._visit = 0
         #: Per-pass progressive-filling scratch (valid only mid-pass).
         self._residual = 0.0
@@ -188,7 +190,7 @@ class Constraint:
         #: cap_w — the bound sums *distinct witness capacities*, not
         #: per-demand bounds.  While it stays (strictly, with margin)
         #: below `capacity` the constraint is provably slack: it cannot
-        #: bind in any max-min allocation, so component walks skip it
+        #: bind in any max-min allocation, so region passes skip it
         #: entirely.  This is what keeps an under-subscribed WAN leg from
         #: chaining two sites' components together — and, grouped by
         #: witness, it stays slack even when many flows fan out of a few
@@ -219,7 +221,7 @@ class Demand:
 
     __slots__ = ("size", "remaining", "rate", "constraints", "done",
                  "_last_update", "_fill_mark", "_group", "_group_key",
-                 "_retry_version", "_visit", "_witness", "_bneck",
+                 "_retry_at", "_visit", "_witness", "_bneck",
                  "on_exit")
 
     def __init__(self, size: float, constraints: Sequence[Constraint],
@@ -257,8 +259,10 @@ class Demand:
         self._group: Optional["_UniformGroup"] = None
         #: Virtual-clock reading at which this demand drains (group mode).
         self._group_key = 0.0
-        self._retry_version = 0
-        #: Walk stamp (see FairQueue._rebalance).
+        #: Due time of the pending starvation retry (see
+        #: FairQueue.ensure_progress), or None.
+        self._retry_at: Optional[float] = None
+        #: Region stamp (see FairQueue._region_pass).
         self._visit = 0
         #: Adapter hook called once when the demand leaves the queue for
         #: any reason (completion or abort) — index teardown lives here.
@@ -305,7 +309,7 @@ class _UniformGroup:
 
     Membership is *delta-driven*: a new demand whose constraints all lie
     inside the span (or are fresh and private) joins in O(log n) via
-    :meth:`try_join` — no component walk, no dissolve — and completions
+    :meth:`try_join` — no filling pass, no dissolve — and completions
     leave through the clock heap.  Non-bottleneck span constraints may be
     *shared* by several members as long as they stay slack at the current
     share; the tightest such limit is tracked in a lazy threshold heap,
@@ -683,15 +687,15 @@ class FairQueue:
         #: such as the runtime invariant checker iterate reproducibly).
         self._live: Dict[Demand, None] = {}
         #: Constraints whose demand set changed since the last pass
-        #: (insertion-ordered for reproducible component ordering).
+        #: (insertion-ordered for reproducible region ordering).
         self._dirty: Dict[Constraint, None] = {}
         self._pass_scheduled = False
-        self._walk_id = 0
+        #: Region stamp source (see Constraint._visit): one id per pass.
+        self._region_id = 0
         #: Freeze stamp source (see Demand._fill_mark): one id per fill.
         self._fill_id = 0
         # -- stats (benchmarks / tests) --
-        #: Filling passes executed (one per region pass or dirty
-        #: component).
+        #: Filling passes executed (one region pass per dirty batch).
         self.rebalances = 0
         #: Times the zero-rate starvation guard had to rescue a demand.
         self.starvation_rescues = 0
@@ -706,18 +710,11 @@ class FairQueue:
         #: Filling passes that pinned a live group (members clock-rated,
         #: only the foreign sharers re-rated) instead of dissolving it.
         self.uniform_pins = 0
-        #: Filling passes whose component (or region) spanned >1
-        #: partition.
+        #: Filling passes whose region spanned >1 partition.
         self.cross_partition_passes = 0
-        #: Region passes: dirty-neighbourhood re-ratings certified by the
-        #: bottleneck property (each also counts as one rebalance).
-        self.region_passes = 0
-        #: Certificate rounds that grew a region by failing demands.
+        #: Extra region-pass rounds: R grew (certificate failures,
+        #: dissolved pins, non-positive levels) and was filled again.
         self.region_expansions = 0
-        #: Batches that fell back to whole-component passes (closed
-        #: region, a group's own bottleneck, inexact pin, or starved
-        #: outside sharer).
-        self.region_fallbacks = 0
         #: Arrivals rated exactly from local residuals (no filling pass).
         self.arrival_fast_paths = 0
         #: Departures proven local (freed capacity bound nobody: no pass).
@@ -726,10 +723,10 @@ class FairQueue:
         #: drained demand was unregistered and completed directly because
         #: its departure provably freed nobody — no filling pass ran.
         self.completion_fast_paths = 0
-        #: Filling-pass component sizes (demands walked + drained), in
-        #: power-of-two buckets: ``pass_size_hist[k]`` counts components
+        #: Filling-pass region sizes (demands re-rated + drained), in
+        #: power-of-two buckets: ``pass_size_hist[k]`` counts passes
         #: with size in [2^(k-1), 2^k).  Tells whether sub-component
-        #: re-rating is actually shrinking walks.
+        #: re-rating is actually shrinking passes.
         self.pass_size_hist = [0] * 24
         #: Highwater mark of concurrent live demands.
         self.peak_demands = 0
@@ -789,7 +786,7 @@ class FairQueue:
         # Delta-driven arrival: when the demand lands wholly inside one
         # live uniform group's span (plus fresh private constraints), it
         # joins the group's virtual clock directly — no dirty marks, no
-        # component walk.  This is the mass-arrival fast path: n demands
+        # filling pass.  This is the mass-arrival fast path: n demands
         # piling onto one bottleneck cost O(n log n), not O(n²).
         for c in demand.constraints:
             group = c.group
@@ -802,7 +799,7 @@ class FairQueue:
         # residual capacity without squeezing anyone, rating it at the
         # tightest residual is *exactly* max-min — every incumbent keeps
         # its bottleneck, and the newcomer's bottleneck is the constraint
-        # it just saturated.  Costs O(local neighborhood), no walk.
+        # it just saturated.  Costs O(local neighborhood), no pass.
         if self._try_arrival_fast_path(demand):
             return
         for c in demand.constraints:
@@ -878,7 +875,7 @@ class FairQueue:
                     c._bound_sum -= w.capacity
                     if not wc:
                         c._bound_sum = 0.0  # reset float drift at idle
-        demand._retry_version += 1
+        demand._retry_at = None
         if demand.on_exit is not None:
             demand.on_exit(demand)
 
@@ -956,7 +953,7 @@ class FairQueue:
     def _mark_dirty(self) -> None:
         """Schedule a single pass at the current timestamp.  Batching
         matters: heartbeat-driven scheduling starts many demands in the
-        same instant, and one pass per component covers them all."""
+        same instant, and one pass covers them all."""
         if self._pass_scheduled:
             return
         self._pass_scheduled = True
@@ -969,65 +966,46 @@ class FairQueue:
     def ensure_progress(self, demand: Demand) -> None:
         """Starvation guard: a demand left with ``rate <= 0`` and no live
         group/bottleneck timer would hang forever if no other demand ever
-        arrived or departed.  Arm a retry that forces a fresh pass."""
+        arrived or departed.  Arm a retry that forces a fresh pass; it is
+        pending while ``demand._retry_at`` holds its due time."""
         if demand.rate > 0 or demand._group is not None:
             return
-        demand._retry_version += 1
-        version = demand._retry_version
+        due = self.sim.now + self.STARVATION_RETRY
+        demand._retry_at = due
 
         def retry(_arg: Any) -> None:
-            if demand._retry_version != version or demand not in self._live:
-                return
+            if demand._retry_at != due:
+                return  # superseded, or the demand left
+            demand._retry_at = None
             if demand.rate > 0:
                 return
             for c in demand.constraints:
                 self._dirty[c] = None
             self._mark_dirty()
 
-        self.sim.call_at(self.sim.now + self.STARVATION_RETRY, retry)
+        self.sim.call_at(due, retry)
 
     def _rebalance(self) -> None:
-        """Re-rate the demands the dirty constraints can move.
-
-        A region pass (:meth:`_region_pass`) handles the batch when it can
-        certify its result; otherwise every component reachable from the
-        dirty constraints is re-rated.  Each component is walked,
-        advanced, drained, and progressively filled *independently*, so a
-        same-instant batch of changes across decoupled sites runs one
-        small pass per site — and each pass can still hit the uniform fast
-        path.  Visiting is recorded by stamping demands/constraints with a
-        batch id (no per-pass hash sets)."""
+        """Re-rate the demands the dirty constraints can move: one region
+        pass (:meth:`_region_pass`) per same-instant batch of changes."""
         if not self._dirty:
             return
         # A dirty constraint owned by a uniform group does NOT dissolve
         # it: the pass pins the members at the clock share and re-rates
-        # only the foreign demands (see _region_pass, _fill_component).
-        # The single exception is the group's own bottleneck with its
-        # members-only invariant broken — a foreign demand landed there,
-        # and the virtual clock cannot represent that.
+        # only the foreign demands.  The single exception is the group's
+        # own bottleneck with its members-only invariant broken — a
+        # foreign demand landed there, and the virtual clock cannot
+        # represent that.  (So no region ever meets a group's own
+        # bottleneck: only members are left on it.)
         for c in list(self._dirty):
             g = c.group
             if g is not None and c is g.constraint and \
                     len(c.demands) != len(g.members):
                 g.dissolve()
         seeds, self._dirty = self._dirty, {}
-        if self._region_pass(seeds):
-            return
-        self.region_fallbacks += 1
-        self._walk_id += 1
-        wid = self._walk_id
-        for seed in seeds:
-            # Seed from the constraint's demands (copy: drained demands
-            # unregister mid-fill): a slack seed is never traversed, but
-            # each of its demands has at least one binding constraint, so
-            # its component is still found and re-rated.  Group members
-            # are clock-managed and never seed a generic fill.
-            if seed.demands:
-                for d in list(seed.demands):
-                    if d._visit != wid and d._group is None:
-                        self._fill_component(d, wid)
+        self._region_pass(seeds)
 
-    def _region_pass(self, seeds: Dict[Constraint, None]) -> bool:
+    def _region_pass(self, seeds: Dict[Constraint, None]) -> None:
         """Re-rate the demands ``seeds`` can move, certified locally.
 
         The region R starts as the ungrouped demands on the dirty
@@ -1037,15 +1015,18 @@ class FairQueue:
         rate as a fixed load on C, uniform-group members pinned at the
         clock share among them, and R is progressively filled into the
         residual capacity.  The bottleneck property then certifies the
-        result (see the module docstring); demands that fail it join R
-        and the fill repeats.  Returns False, having changed nothing but
-        lazy progress, region rates and scratch state, when the
-        whole-component path must run instead: R is closed (no outside
-        demand on C), C meets a group's own bottleneck, a pin is inexact,
-        or an outside sharer is starved."""
-        self._walk_id += 1
-        rid = self._walk_id
+        result (see the module docstring).  Another round runs, with R
+        grown, while anything fails: demands that fail the certificate
+        join R; an inexact pin, or a level below a pinned group's share,
+        dissolves the group into R; a non-positive level brings every
+        outside sharer on C into R.  A closed region (no ungrouped
+        demand outside R on C) fills with the rescue on and forms a
+        uniform group at each bottleneck that carries only its own
+        frozen demands."""
+        self._region_id += 1
+        rid = self._region_id
         now = self.sim.now
+        eps = self.EPSILON
         region: List[Demand] = []
         drained: List[Demand] = []
         links: List[Constraint] = []
@@ -1062,14 +1043,30 @@ class FairQueue:
                     d._visit = rid
                     fresh.append(d)
         if not fresh:
-            return True  # nobody bottlenecked here: nothing to re-rate
+            return  # nobody bottlenecked here: nothing to re-rate
         inf = float("inf")
-        first = True
-        expansions = 0
-        while True:
-            if fresh and not self._enter_region(fresh, rid, now, region,
-                                                drained, links):
-                return False
+        rounds = -1
+        while fresh:
+            rounds += 1
+            # Enter ``fresh`` into R: advance each demand to now and stamp
+            # its constraints (the non-slack ones join C).
+            for d in fresh:
+                d._visit = rid
+                dt = now - d._last_update
+                if dt > 0.0 and d.rate > 0.0:
+                    rem = d.remaining - d.rate * dt
+                    d.remaining = rem if rem > 0.0 else 0.0
+                d._last_update = now
+                if d.remaining <= eps:
+                    drained.append(d)
+                else:
+                    region.append(d)
+                for c in d.constraints:
+                    if c._visit != rid:
+                        c._visit = rid
+                        if c._unbounded or c._bound_sum >= c._slack_below:
+                            links.append(c)
+            fresh.clear()
             self._fill_id += 1
             fid = self._fill_id
             for d in drained:
@@ -1079,12 +1076,14 @@ class FairQueue:
             # whose recorded bottleneck is untouched by the region keeps
             # it (that constraint's load and sharers did not move); one
             # bottlenecked on a C constraint is vouched for in bulk there
-            # (``_obmin``); any other is a suspect, scanned after the fill.
+            # (``_obmin``); any other, or a starved one, is a suspect,
+            # scanned after the fill.
             self._fill_id += 1
             sid = self._fill_id
             suspects: List[Demand] = []
             rlists: List[List[Demand]] = []
             pinned: List[Constraint] = []
+            inexact: Optional[_UniformGroup] = None
             outside = 0
             for c in links:
                 load = 0.0
@@ -1097,9 +1096,9 @@ class FairQueue:
                     k = g.counts[c]
                     load = k * share
                     if c.capacity - load < (len(c.demands) - k) * share:
-                        return False
+                        inexact = g
+                        break
                     omax = share
-                    outside += k
                     pinned.append(c)
                 obmin = inf
                 rl: List[Demand] = []
@@ -1108,8 +1107,6 @@ class FairQueue:
                         if d2._group is not None:
                             continue  # pinned member: in ``load`` above
                         rt = d2.rate
-                        if rt <= 0.0:
-                            return False
                         load += rt
                         if rt > omax:
                             omax = rt
@@ -1117,7 +1114,7 @@ class FairQueue:
                         if b is c:
                             if rt < obmin:
                                 obmin = rt
-                        elif (b is None or b._visit == rid
+                        elif (rt <= 0.0 or b is None or b._visit == rid
                               and not b._unbounded
                               and b._bound_sum < b._slack_below) \
                                 and d2._fill_mark != sid:
@@ -1132,22 +1129,29 @@ class FairQueue:
                 c._rmax = 0.0
                 c._ucount = len(rl)
                 rlists.append(rl)
-            if first:
-                if not outside:
-                    return False
-                first = False
-            bnecks = self._fill(len(region), links, rlists, fid, False)
-            if bnecks is None:
-                return False
-            # Certificate.  (1) An R demand frozen at b needs every
-            # outside demand on b to be no faster than it.
+            if inexact is not None:
+                self._dissolve_into(inexact, fresh)
+                continue
+            bnecks = self._fill(len(region), links, rlists, fid, not outside)
             self._fill_id += 1
             cid = self._fill_id
-            short = False
+            if bnecks is None:
+                # A non-positive level: the outside sharers' fixed rates
+                # leave R nothing.  Bring each of them into R once.
+                for c in links:
+                    for e in c.demands:
+                        if e._visit != rid and e._fill_mark != cid and \
+                                e._group is None:
+                            e._fill_mark = cid
+                            fresh.append(e)
+                continue
+            # Certificate.  (1) An R demand frozen at b needs every
+            # outside demand on b to be no faster than it.
+            short: List[_UniformGroup] = []
             for link, level, _ in bnecks:
                 g = link.group
                 if g is not None and level < g.share() * TIE:
-                    short = True  # a pinned member would outpace it
+                    short.append(g)  # a pinned member would outpace it
                 if link._omax * TIE > level:
                     for e in link.demands:
                         if e._visit != rid and e._fill_mark != cid and \
@@ -1176,11 +1180,9 @@ class FairQueue:
                     e._fill_mark = cid
                     if not self._certify(e, rid):
                         fresh.append(e)
-            if not fresh:
-                break
-            expansions += 1
-        if short:
-            return False
+            for g in short:
+                if g.members:
+                    self._dissolve_into(g, fresh)
         if pinned:
             for c in pinned:
                 g = c.group
@@ -1190,8 +1192,7 @@ class FairQueue:
             self.uniform_pins += 1
 
         self.rebalances += 1
-        self.region_passes += 1
-        self.region_expansions += expansions
+        self.region_expansions += rounds
         multi_partition = False
         first_partition: Optional[str] = None
         for c in links:
@@ -1216,42 +1217,27 @@ class FairQueue:
             if not d.done.triggered:
                 d.done.succeed(d)
         for link, level, min_remaining in bnecks:
+            # In a closed region a bottleneck whose every demand froze
+            # there is a whole component on its own: try virtual-clock
+            # mode before arming a timer.
+            if not outside and all(d._bneck is link for d in link.demands) \
+                    and self._try_uniform_group(link, list(link.demands)):
+                continue
             self._arm_bottleneck_timer(link, min_remaining / level)
-        return True
 
-    def _enter_region(self, fresh: List[Demand], rid: int, now: float,
-                      region: List[Demand], drained: List[Demand],
-                      links: List[Constraint]) -> bool:
-        """Move ``fresh`` (emptied) into region ``rid``: advance each
-        demand to ``now`` and stamp its constraints (the non-slack ones
-        join C).  False when C meets a uniform group's bottleneck."""
-        eps = self.EPSILON
-        for d in fresh:
-            d._visit = rid
-            dt = now - d._last_update
-            if dt > 0.0 and d.rate > 0.0:
-                rem = d.remaining - d.rate * dt
-                d.remaining = rem if rem > 0.0 else 0.0
-            d._last_update = now
-            if d.remaining <= eps:
-                drained.append(d)
-            else:
-                region.append(d)
-            for c in d.constraints:
-                if c._visit != rid:
-                    c._visit = rid
-                    if c._unbounded or c._bound_sum >= c._slack_below:
-                        g = c.group
-                        if g is not None and c is g.constraint:
-                            return False
-                        links.append(c)
-        fresh.clear()
-        return True
+    def _dissolve_into(self, group: _UniformGroup,
+                       fresh: List[Demand]) -> None:
+        """Dissolve ``group`` mid-pass and queue its members for the
+        region: they leave with ``_bneck`` None and no timer, so this
+        pass must re-rate every one of them."""
+        members = list(group.members)
+        group.dissolve()
+        fresh.extend(members)
 
     def _fill(self, count: int, links: List[Constraint],
               lists: List[Iterable[Demand]], fid: int, rescue: bool
               ) -> Optional[List[tuple]]:
-        """Progressive filling, shared by region and component passes.
+        """Progressive filling for a region pass.
 
         Freezes ``count`` demands (``lists[i]`` are those on ``links[i]``;
         group members are skipped) into the residuals and unfrozen counts
@@ -1259,9 +1245,10 @@ class FairQueue:
         min-heap of ``(fair share, link index)`` picks bottlenecks; shares
         only grow as competitors freeze, so a stale entry is re-pushed
         with its recomputed share.  Returns ``(bottleneck, level, earliest
-        remaining)`` per bottleneck in freeze order, or None when the heap
-        runs dry with demands unfrozen, or a level is non-positive and
-        ``rescue`` (:meth:`_rescue_level`) is off."""
+        remaining)`` per bottleneck in freeze order, or None when a level
+        is non-positive and ``rescue`` (:meth:`_rescue_level`, on for
+        closed regions) is off.  (The heap cannot run dry first: each
+        demand's tightest constraint is never slack, so it is a link.)"""
         heap = [(c._residual / c._ucount, i)
                 for i, c in enumerate(links) if c._ucount]
         heapq.heapify(heap)
@@ -1300,8 +1287,6 @@ class FairQueue:
                     if cur > c2._rmax:
                         c2._rmax = cur
             bnecks.append((link, cur, min_remaining))
-        if left > 0:
-            return None
         return bnecks
 
     def _rescue_level(self, link: Constraint, fid: int) -> float:
@@ -1360,184 +1345,6 @@ class FairQueue:
                         c, e._last_update - self.sim.now + e.remaining / rate)
                 return True
         return False
-
-    def _fill_component(self, start: Demand, wid: int) -> None:
-        """Walk one component from ``start`` and re-rate it."""
-        self.rebalances += 1
-        now = self.sim.now
-        eps = self.EPSILON
-
-        affected: List[Demand] = []
-        links: List[Constraint] = []
-        drained: List[Demand] = []
-        # Demands are stamped at push time, so each is pushed exactly once.
-        start._visit = wid
-        stack: List[Demand] = [start]
-        pop = stack.pop
-        push = stack.append
-        add_demand = affected.append
-        push_link = links.append
-        multi_partition = False
-        first_partition: Optional[str] = None
-        while stack:
-            d = pop()
-            # Fused lazy advance: drain up to `now` on first discovery.
-            dt = now - d._last_update
-            if dt > 0.0 and d.rate > 0.0:
-                rem = d.remaining - d.rate * dt
-                d.remaining = rem if rem > 0.0 else 0.0
-            d._last_update = now
-            if d.remaining <= eps:
-                drained.append(d)
-            else:
-                add_demand(d)
-            for c in d.constraints:
-                if c._visit != wid:
-                    if c._unbounded == 0 and c._bound_sum < c._slack_below:
-                        # Provably slack (total possible traffic below
-                        # capacity): cannot bind, so it neither rates nor
-                        # couples — do NOT chain components through it.
-                        continue
-                    c._visit = wid
-                    push_link(c)
-                    p = c.partition
-                    if p is not None and p != first_partition:
-                        if first_partition is None:
-                            first_partition = p
-                        else:
-                            multi_partition = True
-                    for d2 in c.demands:
-                        if d2._visit != wid:
-                            d2._visit = wid
-                            # Uniform-group members are clock-managed:
-                            # stamp them (so they are not re-examined)
-                            # but never walk or re-rate them.
-                            if d2._group is None:
-                                push(d2)
-        if multi_partition:
-            self.cross_partition_passes += 1
-        size = len(affected) + len(drained)
-        hist = self.pass_size_hist
-        hist[min(size.bit_length(), len(hist) - 1)] += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("channel", "filling-pass", now, "channel",
-                           args={"size": size, "drained": len(drained),
-                                 "cross_partition": multi_partition})
-
-        # Complete demands that drained exactly at this instant.  Their
-        # constraints stay in scope (co-demands are already collected), so
-        # the freed capacity is redistributed by this same pass.
-        for d in drained:
-            self._unregister(d)
-            if not d.done.triggered:
-                d.done.succeed(d)
-
-        if not affected:
-            return
-
-        # Every demand on a component constraint was collected (closure),
-        # so the per-constraint unfrozen count is just its live demand
-        # count — no per-demand build loop needed.  Residuals and counts
-        # live in per-constraint scratch slots (no dict hashing).
-        best_share = float("inf")
-        best: Optional[Constraint] = None
-        #: Constraints shared with a live uniform group, filled with the
-        #: members pinned at the clock share: (constraint, group, avail).
-        pinned: Optional[List[tuple]] = None
-        conflicts: Optional[List[_UniformGroup]] = None
-        for c in links:
-            g = c.group
-            if g is not None:
-                # A live uniform group shares this constraint.  Its
-                # members are exactly clock-rated, so fill only the
-                # foreign demands into the residual capacity.
-                k = g.counts.get(c, 0)
-                gshare = g.share()
-                n = len(c.demands) - k
-                c._ucount = n
-                if not n:
-                    continue
-                avail = c.capacity - k * gshare
-                if avail < n * gshare:
-                    # cap/(k+n) < share: joint max-min would squeeze the
-                    # members below the clock share — the pin is not
-                    # exact here, so go generic for this component.
-                    if conflicts is None:
-                        conflicts = [g]
-                    elif g not in conflicts:
-                        conflicts.append(g)
-                    continue
-                c._residual = avail
-                share = avail / n
-                if pinned is None:
-                    pinned = [(c, g, avail)]
-                else:
-                    pinned.append((c, g, avail))
-            else:
-                n = len(c.demands)
-                c._ucount = n
-                if not n:
-                    continue
-                c._residual = c.capacity
-                share = c.capacity / n
-            if share < best_share:
-                best_share = share
-                best = c
-
-        if pinned is not None and conflicts is None:
-            self.uniform_pins += 1
-
-        if conflicts is not None:
-            for g in conflicts:
-                g.dissolve()
-            # Re-walk with the members materialised as plain demands
-            # (the component is connected, so any affected demand finds
-            # them).  The retry re-counts the pass.
-            self._walk_id += 1
-            self.rebalances -= 1
-            self._fill_component(affected[0], self._walk_id)
-            return
-
-        self._fill_id += 1
-        fid = self._fill_id
-        # Single-bottleneck fast path: when the minimum-share constraint
-        # carries *every* component demand, round one of progressive
-        # filling freezes the whole component at that share.
-        if best._ucount == len(affected):
-            min_remaining = float("inf")
-            for d in affected:
-                d.rate = best_share
-                d._bneck = best
-                d._fill_mark = fid  # frozen this pass
-                if d.remaining < min_remaining:
-                    min_remaining = d.remaining
-            if pinned is not None:
-                for c, g, avail in pinned:
-                    g.set_foreign(c, c._ucount * best_share)
-            elif self._try_uniform_group(best, affected):
-                return
-            self._arm_bottleneck_timer(best, min_remaining / best_share)
-            return
-
-        bnecks = self._fill(len(affected), links,
-                            [c.demands for c in links], fid, True)
-        if bnecks is None:
-            # Belt-and-braces: the heap ran dry with unfrozen demands left
-            # (cannot happen for well-formed components, but a zero rate
-            # must never hang the simulation).  Starve the component and
-            # let the retries force a fresh pass.
-            for d in affected:
-                d.rate = 0.0
-                d._bneck = None
-                self.ensure_progress(d)
-            return
-        for link, level, min_remaining in bnecks:
-            self._arm_bottleneck_timer(link, min_remaining / level)
-        if pinned is not None:
-            for c, g, avail in pinned:
-                r = c._residual
-                g.set_foreign(c, avail - r if r < avail else 0.0)
 
     def _try_uniform_group(self, bottleneck: Constraint,
                            members: List[Demand]) -> bool:

@@ -52,9 +52,7 @@ class TestSmokeMode:
             assert record["completion_fast_paths"] > 0
             assert sum(record["pass_size_hist"]) > 0
             # Region-pass counters ride along at top level.
-            assert record["region_passes"] > 0
-            for key in ("region_expansions", "region_fallbacks",
-                        "uniform_pins"):
+            for key in ("region_expansions", "uniform_pins"):
                 assert record[key] >= 0
         # The contended scenario doubles the shuffled bytes on half-speed
         # disks: it must produce strictly more concurrent demand pressure.

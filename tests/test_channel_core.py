@@ -4,9 +4,10 @@ The centrepiece is a randomized property test comparing the incremental
 engine's allocations against a brute-force O(n²) progressive-filling
 reference over random constraint topologies (hypothesis-driven, and a
 seeded submit/abort harness that drives region passes through their
-expansion and fallback paths), a completion-time oracle running whole
-random workloads against a brute-force fluid reference, targeted
-region-seeding and group-pinning cases, plus exact-timestamp tests for
+expansions, in-region dissolves and closed-region groups), a
+completion-time oracle running whole random workloads against a
+brute-force fluid reference, targeted region-seeding, group-pinning and
+in-region finishing cases, plus exact-timestamp tests for
 multi-bottleneck completions, uniform (virtual-clock) groups, the
 slack-constraint shortcut, fast-path tie tolerance, and per-site
 partition decoupling.
@@ -199,16 +200,27 @@ class TestRegionPass:
     bottleneck property, expand where the certificate fails) against
     brute-force progressive filling."""
 
-    def test_seeded_topologies_match_reference(self):
-        passes = expansions = fallbacks = 0
+    def test_seeded_topologies_match_reference(self, monkeypatch):
+        """Also drives every in-region finish: groups dissolved mid-pass
+        (inexact pins, levels below the share) and groups formed in
+        closed regions."""
+        dissolves = []
+        dissolve_into = FairQueue._dissolve_into
+
+        def counting_dissolve(self, group, fresh):
+            dissolves.append(len(group.members))
+            dissolve_into(self, group, fresh)
+
+        monkeypatch.setattr(FairQueue, "_dissolve_into", counting_dissolve)
+        passes = expansions = groups = 0
         for seed in range(200):
             q = run_region_harness(seed, 60 + seed % 21)
-            passes += q.region_passes
+            passes += q.rebalances
             expansions += q.region_expansions
-            fallbacks += q.region_fallbacks
+            groups += q.uniform_groups
         assert passes > 0
         assert expansions > 0
-        assert fallbacks > 0
+        assert dissolves and groups > 0
 
     def test_region_pass_rates_only_the_dirty_neighbourhood(self):
         """A chain of five demands linked through shared constraints, each
@@ -221,10 +233,10 @@ class TestRegionPass:
         links = [q.constraint(f"l{i}", cap) for i, cap in enumerate(caps)]
         chain = [q.submit(1e6, [links[i], links[i + 1]]) for i in range(5)]
         sim.run(until=1.0)
-        passes, hist = q.region_passes, list(q.pass_size_hist)
+        passes, hist = q.rebalances, list(q.pass_size_hist)
         late = q.submit(1e6, [links[5]])
         sim.run(until=1.0)
-        assert q.region_passes == passes + 1
+        assert q.rebalances == passes + 1
         assert q.pass_size_hist[2] == hist[2] + 1  # 2 demands re-rated
         demand_links = [[i, i + 1] for i in range(5)] + [[5]]
         want = reference_max_min(demand_links, caps)
@@ -369,10 +381,10 @@ class TestBottleneckSeeding:
         b = q.constraint("b", 70.0)
         s = q.submit(1e6, [c, b])
         sim.run(until=1.0)
-        passes, expansions = q.region_passes, q.region_expansions
+        passes, expansions = q.rebalances, q.region_expansions
         y = q.submit(1e6, [c])
         sim.run(until=1.0)
-        assert q.region_passes == passes + 1
+        assert q.rebalances == passes + 1
         assert q.region_expansions == expansions + 1
         want = reference_max_min([[0, 1], [0]], [100.0, 70.0])
         assert [s.rate, y.rate] == pytest.approx(want, rel=1e-9)
@@ -387,7 +399,7 @@ class TestBottleneckSeeding:
         """After a join the old members' ``rate`` still reads the old
         share (25 > 20).  A region level of 23 on the shared constraint
         pulls the faster foreign f3 in, but never a member: the pin
-        holds and the pass needs no fallback."""
+        holds and one pass re-rates the foreign demands."""
         sim = Simulator()
         q = FairQueue(sim)
         caps = [100.0, 163.0, 40.0, 30.0] + [100.0] * 5
@@ -404,15 +416,144 @@ class TestBottleneckSeeding:
         g.done.defused()
         sim.run(until=2.0)
         assert (f1.rate, f1._bneck) == (15.0, x)
-        fallbacks, expansions = q.region_fallbacks, q.region_expansions
+        passes, expansions = q.rebalances, q.region_expansions
         q.abort(g, RuntimeError("cancelled"))
         sim.run(until=2.0)
-        assert q.region_fallbacks == fallbacks
+        assert q.rebalances == passes + 1
         assert q.region_expansions == expansions + 1
         assert members[0]._group is group
         want = reference_max_min([[0, 1, 4 + i] for i in range(5)]
                                  + [[1, 2], [1, 3]], caps)
         have = [live_rate(d) for d in members + [f3, f1]]
+        assert have == pytest.approx(want, rel=1e-9)
+
+
+class TestInRegionFinishes:
+    """Closed regions and the cases a region pass finishes by growing R
+    and filling again: one pass per batch, exact rates."""
+
+    def test_inexact_pin_dissolves_in_region(self, monkeypatch):
+        """site's fair share 120/5 = 24 falls below the clock share 25:
+        the pin is inexact, so the pass dissolves the group, its members
+        join the region, and the same pass re-rates all five."""
+        dissolved = []
+        dissolve_into = FairQueue._dissolve_into
+
+        def spy(self, group, fresh):
+            dissolved.append(group)
+            dissolve_into(self, group, fresh)
+
+        monkeypatch.setattr(FairQueue, "_dissolve_into", spy)
+        sim = Simulator()
+        q = FairQueue(sim)
+        caps = [100.0, 120.0, 300.0] + [100.0] * 4
+        src, site, fp, *privates = (q.constraint(f"c{i}", cap)
+                                    for i, cap in enumerate(caps))
+        members = [q.submit(1e6, [src, site, privates[i]]) for i in range(4)]
+        sim.run(until=1.0)
+        group = members[0]._group
+        assert group is not None and not dissolved
+        passes = q.rebalances
+        foreign = q.submit(1e6, [site, fp])
+        sim.run(until=1.0)
+        assert dissolved == [group]
+        assert q.rebalances == passes + 1
+        want = reference_max_min([[0, 1, 3 + i] for i in range(4)]
+                                 + [[1, 2]], caps)
+        have = [live_rate(d) for d in members + [foreign]]
+        assert have == pytest.approx(want, rel=1e-9)
+
+    def test_disjoint_components_form_one_group_each(self):
+        """Two single-bottleneck components dirtied at one instant: one
+        closed region, one pass, and a group at each bottleneck."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        srcs = [q.constraint(f"src{j}", 100.0) for j in range(2)]
+        demands = [q.submit(1e6, [srcs[j], q.constraint(f"p{j}{i}", 200.0)])
+                   for j in range(2) for i in range(3)]
+        sim.run(until=0.0)
+        assert q.rebalances == 1
+        assert q.uniform_groups == 2
+        groups = [d._group for d in demands]
+        assert groups[0] is groups[1] is groups[2] is not None
+        assert groups[3] is groups[4] is groups[5] is not groups[0]
+        assert groups[0].constraint is srcs[0]
+        assert groups[3].constraint is srcs[1]
+        for d in demands:
+            assert live_rate(d) == pytest.approx(100.0 / 3)
+
+    def test_region_closed_after_expanding_forms_a_group(self):
+        """y seeds alone and squeezes s (bottlenecked at b) on c; the
+        certificate pulls s in, the region closes, and c, carrying only
+        demands frozen there, becomes a group."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c = q.constraint("c", 100.0)
+        b = q.constraint("b", 70.0)
+        s = q.submit(1e6, [c, b])
+        sim.run(until=1.0)
+        assert s._bneck is b
+        expansions = q.region_expansions
+        y = q.submit(1e6, [c])
+        sim.run(until=1.0)
+        assert q.region_expansions == expansions + 1
+        assert q.uniform_groups == 1
+        assert s._group is y._group is not None
+        assert s._group.constraint is c
+        want = reference_max_min([[0, 1], [0]], [100.0, 70.0])
+        assert [live_rate(s), live_rate(y)] == pytest.approx(want, rel=1e-9)
+
+    def test_starved_outside_sharer_is_rerated(self):
+        """s, bottlenecked at b, is starved; an arrival on c dirties c
+        only.  s is outside the seeded region, but as a suspect it fails
+        the certificate, joins, and is rated positive in the same pass."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c = q.constraint("c", 100.0)
+        b = q.constraint("b", 30.0)
+        s = q.submit(1e6, [c, b])
+        x = q.submit(1e6, [c])
+        sim.run(until=1.0)
+        assert (s._bneck, x._bneck) == (b, c)
+        s.rate = 0.0
+        passes, expansions = q.rebalances, q.region_expansions
+        y = q.submit(1e6, [c])
+        sim.run(until=1.0)
+        assert q.rebalances == passes + 1
+        assert q.region_expansions == expansions + 1
+        want = reference_max_min([[0, 1], [0], [0]], [100.0, 30.0])
+        assert [s.rate, x.rate, y.rate] == pytest.approx(want, rel=1e-9)
+
+    def test_non_positive_level_joins_each_sharer_once(self, monkeypatch):
+        """c and d are saturated by demands bottlenecked elsewhere, so y's
+        level is 0: every outside sharer on c and d joins the region, and
+        x1, on both, joins once (counted twice it would be frozen twice)."""
+        fills = []
+        fill = FairQueue._fill
+
+        def spy(self, count, links, lists, fid, rescue):
+            distinct = {id(d) for lst in lists for d in lst}
+            fills.append((count, len(distinct)))
+            return fill(self, count, links, lists, fid, rescue)
+
+        sim = Simulator()
+        q = FairQueue(sim)
+        caps = [100.0, 100.0, 50.0, 50.0, 50.0]
+        c, d, b1, b2, b3 = (q.constraint(f"c{i}", cap)
+                            for i, cap in enumerate(caps))
+        x1 = q.submit(1e6, [c, d, b1])
+        x2 = q.submit(1e6, [b2, c])
+        x3 = q.submit(1e6, [b3, d])
+        sim.run(until=1.0)
+        assert (x1._bneck, x2._bneck, x3._bneck) == (b1, b2, b3)
+        monkeypatch.setattr(FairQueue, "_fill", spy)
+        expansions = q.region_expansions
+        y = q.submit(1e6, [c, d])
+        sim.run(until=1.0)
+        assert q.region_expansions == expansions + 1
+        assert fills == [(1, 1), (4, 4)]
+        want = reference_max_min([[0, 1, 2], [3, 0], [4, 1], [0, 1]], caps)
+        have = [live_rate(e) for e in (x1, x2, x3, y)]
         assert have == pytest.approx(want, rel=1e-9)
 
 
@@ -822,7 +963,7 @@ class TestGroupCoexistence:
     def test_foreign_flow_coexists_with_pinned_group(self):
         """A foreign demand sharing a span constraint is rated into the
         residual capacity; the group neither dissolves nor re-rates.  The
-        re-rating is a region pass that pins the group (no fallback)."""
+        re-rating is one region pass that pins the group."""
         sim = Simulator()
         q = FairQueue(sim)
         src = q.constraint("src", 100.0)
@@ -833,7 +974,7 @@ class TestGroupCoexistence:
         sim.run(until=1.0)
         group = members[0]._group
         assert group is not None
-        passes, fallbacks = q.region_passes, q.region_fallbacks
+        passes = q.rebalances
         fp = q.constraint("fp", 300.0)
         foreign = q.submit(900.0, [site, fp])
         sim.run(until=1.0)
@@ -841,8 +982,7 @@ class TestGroupCoexistence:
         # the foreign demand got the site residual 250 - 4*25 = 150.
         assert members[0]._group is group
         assert q.uniform_pins == 1
-        assert (q.region_passes, q.region_fallbacks) == (passes + 1,
-                                                         fallbacks)
+        assert q.rebalances == passes + 1
         assert group._foreign == {site: pytest.approx(150.0)}
         want = reference_max_min([[0, 1, 3 + i] for i in range(4)]
                                  + [[1, 2]], [100.0, 250.0, 300.0]

@@ -181,6 +181,20 @@ class TestChannelMaxMin:
         assert checker.check("poke") > 0
         assert "off its group's clock" in checker.violations[0].detail
 
+    def test_starved_demand_without_retry_flagged(self):
+        """Rate 0 and nothing armed to re-rate it: b would never move."""
+        _, checker, _, b = settled_channel()
+        b.rate = 0.0
+        assert checker.check("poke") == 1
+        assert checker.violation_counts == {"channel_max_min": 1}
+        assert "no retry pending" in checker.violations[0].detail
+
+    def test_starved_demand_with_pending_retry_is_clean(self):
+        q, checker, _, b = settled_channel()
+        b.rate = 0.0
+        q.ensure_progress(b)
+        assert checker.check("poke") == 0
+
     def test_unsettled_queue_is_not_judged(self):
         q, checker, a, b = settled_channel()
         b.rate *= 0.9
