@@ -94,8 +94,3 @@ class HOGConfig:
         # The wrapper downloads its package from the central server.
         if self.wrapper.package_host != self.central_host:
             self.wrapper.package_host = self.central_host
-
-    @property
-    def total_grid_capacity(self) -> int:
-        """Sum of per-site capacities — the most nodes HOG can ever hold."""
-        return sum(s.capacity for s in self.sites)

@@ -4,7 +4,6 @@ and preemption."""
 from .condor import CondorJobState, CondorSchedd, SubmissionFile
 from .glidein import Glidein, GlideinFactory, WrapperConfig
 from .preemption import PreemptionEvent, PreemptionTrace, TraceDriver, TraceRecorder
-from .staging import SrmError, StagedFile, StorageElement
 from .site import PAPER_SITES, GridSite, GridSiteConfig, SitePolicy
 
 __all__ = [
@@ -22,7 +21,4 @@ __all__ = [
     "PreemptionTrace",
     "TraceRecorder",
     "TraceDriver",
-    "StorageElement",
-    "StagedFile",
-    "SrmError",
 ]

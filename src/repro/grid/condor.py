@@ -170,10 +170,6 @@ class CondorSchedd:
             self._queue.remove(glidein)
             glidein.removed()
 
-    def queue_size(self) -> int:
-        """Total jobs in the queue (idle + running)."""
-        return len(self._queue)
-
     def __repr__(self) -> str:
         return (f"<CondorSchedd idle={len(self.idle_jobs())} "
                 f"running={len(self.running_jobs())}>")

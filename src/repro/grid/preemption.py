@@ -63,10 +63,6 @@ class PreemptionTrace:
         self.events.append(event)
         self.events.sort(key=lambda e: e.time)
 
-    def total_victims(self) -> int:
-        """Sum of all event counts."""
-        return sum(e.count for e in self.events)
-
     # -- serialization -----------------------------------------------------------
     def to_json(self) -> str:
         """Serialize to a JSON string."""

@@ -6,13 +6,7 @@ from .client import BlockUnavailableError, HdfsClient, ReadResult
 from .config import GB, MB, HdfsConfig, hog_config, stock_hadoop_config
 from .datanode import BlockReadError, Datanode
 from .namenode import DatanodeDescriptor, HdfsError, Namenode
-from .placement import (
-    LiveHostIndex,
-    PlacementError,
-    PlacementPolicy,
-    RandomPolicy,
-    SiteAwarePolicy,
-)
+from .placement import LiveHostIndex, SiteAwarePolicy
 
 __all__ = [
     "Block",
@@ -31,11 +25,8 @@ __all__ = [
     "HdfsClient",
     "ReadResult",
     "BlockUnavailableError",
-    "PlacementPolicy",
     "LiveHostIndex",
     "SiteAwarePolicy",
-    "RandomPolicy",
-    "PlacementError",
     "Balancer",
     "BalancerReport",
 ]

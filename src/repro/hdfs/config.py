@@ -85,6 +85,10 @@ class HdfsConfig:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
         if self.heartbeats_per_second < 0:
             raise ValueError("heartbeats_per_second cannot be negative")
+        if self.heartbeat_recheck_period <= 0:
+            raise ValueError("heartbeat_recheck_period must be positive")
+        if self.replication_monitor_period <= 0:
+            raise ValueError("replication_monitor_period must be positive")
         if not (0.0 <= self.disk_reserve_fraction < 1.0):
             raise ValueError("disk_reserve_fraction must be in [0, 1)")
         if self.disk_check_interval is not None and self.disk_check_interval <= 0:

@@ -55,6 +55,9 @@ class Datanode:
     def __init__(self, sim: Simulator, host: str, disk: Disk,
                  fabric: NetworkFabric, namenode: "Namenode",
                  config: Optional[HdfsConfig] = None) -> None:
+        if disk.channel is not fabric.channel:
+            raise ValueError(f"datanode {host}: the disk must drain through "
+                             "the fabric's channel")
         self.sim = sim
         self.host = host
         self.disk = disk
@@ -180,10 +183,6 @@ class Datanode:
         deterministic insertion order, without copying into a set."""
         return self._blocks.keys()
 
-    def has_block(self, block_id: int) -> bool:
-        """True if a finalized replica is stored here."""
-        return block_id in self._blocks
-
     def num_blocks(self) -> int:
         """Number of stored replicas."""
         return len(self._blocks)
@@ -213,12 +212,11 @@ class Datanode:
                       source_disk: Optional[Disk] = None) -> Event:
         """Receive a replica from ``source`` over the network and persist it.
 
-        ``source_disk`` (when given and sharing our channel) joins the
-        stream's constraint set with its *read* bandwidth: the move is then
-        one demand rated end-to-end over source disk read, the network
-        path, and our disk write — what a balancer migration or
-        re-replication physically is.  Without it only our write side and
-        the network are modelled.
+        ``source_disk`` (when given) joins the stream's constraint set
+        with its *read* bandwidth: the move is then one demand rated
+        end-to-end over source disk read, the network path, and our disk
+        write — what a balancer migration or re-replication physically
+        is.  Without it only our write side and the network are modelled.
 
         Returns an event succeeding once the replica is finalized and
         reported, or failing with ``DiskFullError`` / ``TransferFailed`` /
@@ -243,28 +241,20 @@ class Datanode:
             done.defused()
             return
         start = self.sim.now
+        # Streaming receive: one demand jointly constrained by the network
+        # path (source NIC, WAN legs, our NIC) and our disk write bandwidth
+        # — data is persisted as it arrives, like a real pipelined block
+        # write.  A source disk adds its read side, so the move competes
+        # with live shuffle serves and HDFS reads at the source.
+        extras = [self.disk.write_constraint]
+        if source_disk is not None:
+            extras.insert(0, source_disk.read_constraint)
         try:
-            if self.disk.shares_channel_with(self.fabric):
-                # Streaming receive: one demand jointly constrained by the
-                # network path (source NIC, WAN legs, our NIC) and our disk
-                # write bandwidth — data is persisted as it arrives, like a
-                # real pipelined block write.  A shared-channel source disk
-                # adds its read side, so the move competes with live
-                # shuffle serves and HDFS reads at the source.
-                extras = [self.disk.write_constraint]
-                src_disk = (source_disk if source_disk is not None
-                            and source_disk.shares_channel_with(self.fabric)
-                            else None)
-                if src_disk is not None:
-                    extras.insert(0, src_disk.read_constraint)
-                yield self.fabric.transfer(
-                    source, self.host, block.size,
-                    extra_constraints=extras,
-                    validate=lambda: self.disk.alive and (
-                        src_disk is None or src_disk.alive))
-            else:
-                yield self.fabric.transfer(source, self.host, block.size)
-                yield self.disk.write(block.size)
+            yield self.fabric.transfer(
+                source, self.host, block.size,
+                extra_constraints=extras,
+                validate=lambda: self.disk.alive and (
+                    source_disk is None or source_disk.alive))
         except (TransferFailed, DiskIOError) as exc:
             if self.disk.alive:
                 self.disk.release(block.size, HDFS_LABEL)

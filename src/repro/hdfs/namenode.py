@@ -29,7 +29,7 @@ from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
 from .config import HdfsConfig
 from .datanode import Datanode
-from .placement import LiveHostIndex, PlacementPolicy
+from .placement import LiveHostIndex, SiteAwarePolicy
 
 __all__ = ["Namenode", "DatanodeDescriptor", "HdfsError"]
 
@@ -59,7 +59,7 @@ class Namenode:
     """Master metadata server for the simulated HDFS."""
 
     def __init__(self, sim: Simulator, topology: NetworkTopology,
-                 placement: PlacementPolicy,
+                 placement: SiteAwarePolicy,
                  config: Optional[HdfsConfig] = None) -> None:
         self.sim = sim
         self.topology = topology
@@ -105,8 +105,7 @@ class Namenode:
         #: heartbeat (``invalidate_work_per_heartbeat``).
         self._invalidate_queue: Dict[str, Dict[int, None]] = {}
         #: Believed-alive hosts (insertion-ordered dict as a set): an O(live)
-        #: answer for placement instead of an O(all datanodes) scan per
-        #: scheduled block.
+        #: answer for live-host queries instead of an O(all datanodes) scan.
         self._live_hosts: Dict[str, None] = {}
         #: The same host set grouped per site, maintained event-driven —
         #: placement draws from these cached lists instead of regrouping
@@ -479,7 +478,6 @@ class Namenode:
         heap = self._repl_heap
         if not heap:
             return
-        live = self._live_hosts  # iterated, never copied
         scheduled = 0
         blocked: List[int] = []
         retry: List[int] = []
@@ -505,8 +503,7 @@ class Namenode:
             size = info.block.size
             targets = self.placement.choose_targets(
                 None, missing, {**info.replicas, **info.pending_targets},
-                live, lambda h: self._can_host_store(h, size),
-                site_index=self._live_index)
+                lambda h: self._can_host_store(h, size), self._live_index)
             launched = 0
             capped = False
             for tgt in targets:
@@ -571,13 +568,12 @@ class Namenode:
                              count: int, existing: Optional[Set[str]] = None) -> List[str]:
         """Pick datanodes for a new block's replica pipeline.
 
-        O(replicas chosen), not O(live datanodes): the believed-live host
-        dict is handed over uncopied and the per-site grouping comes from
-        the event-maintained :class:`~repro.hdfs.placement.LiveHostIndex`."""
+        O(replicas chosen), not O(live datanodes): the per-site grouping
+        comes from the event-maintained
+        :class:`~repro.hdfs.placement.LiveHostIndex`."""
         return self.placement.choose_targets(
-            writer, count, set(existing or ()), self._live_hosts,
-            lambda h: self._can_host_store(h, size),
-            site_index=self._live_index)
+            writer, count, set(existing or ()),
+            lambda h: self._can_host_store(h, size), self._live_index)
 
     # -- queries ------------------------------------------------------------------
     def live_datanode_hosts(self) -> List[str]:

@@ -12,28 +12,22 @@ against whole-site preemption bursts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..net.topology import NetworkTopology
 
-__all__ = ["PlacementError", "PlacementPolicy", "SiteAwarePolicy",
-           "RandomPolicy", "LiveHostIndex"]
-
-
-class PlacementError(Exception):
-    """No viable targets exist for a block."""
+__all__ = ["SiteAwarePolicy", "LiveHostIndex"]
 
 
 class LiveHostIndex:
     """Event-maintained per-site live-host lists for the placement hot path.
 
-    :class:`SiteAwarePolicy` used to rebuild a ``site → hosts`` grouping
-    from the full candidate list for *every block placed* — the ROADMAP's
-    10k-node placement cost center.  The namenode keeps one of these
-    current instead (O(1) add/discard via swap-pop and a position map),
-    and placement draws from the cached lists directly.
+    The namenode keeps one of these current (O(1) add/discard via
+    swap-pop and a position map), and :class:`SiteAwarePolicy` draws from
+    the cached lists directly instead of grouping the live hosts by site
+    for every block placed.
 
     Draws permute a site's list in place (swap-to-end); that is harmless —
     each list is a set of hosts whose order carries no meaning — and every
@@ -108,46 +102,7 @@ class LiveHostIndex:
         self._pos[lst[j]] = (site, j)
 
 
-class PlacementPolicy:
-    """Interface: choose datanode targets for a block's replicas.
-
-    ``space_ok`` is a callback ``host -> bool`` testing whether the
-    datanode can accept one more block.
-    """
-
-    def choose_targets(
-        self,
-        writer: Optional[str],
-        count: int,
-        existing: Set[str],
-        candidates: Sequence[str],
-        space_ok: Callable[[str], bool],
-        site_index: Optional[LiveHostIndex] = None,
-    ) -> List[str]:
-        """Return up to ``count`` hosts for new replicas.
-
-        Parameters
-        ----------
-        writer:
-            Host initiating the write (gets the first replica if it is a
-            viable datanode), or ``None`` for re-replication.
-        count:
-            Number of new replicas wanted.
-        existing:
-            Hosts already holding (or receiving) a replica; never chosen.
-        candidates:
-            Live datanode hosts.
-        space_ok:
-            Capacity predicate.
-        site_index:
-            Optional pre-grouped view of ``candidates`` (must track the
-            same host set).  Policies that group by site use it to skip
-            the per-call grouping work; others may ignore it.
-        """
-        raise NotImplementedError
-
-
-class SiteAwarePolicy(PlacementPolicy):
+class SiteAwarePolicy:
     """Spread replicas across failure domains (racks or sites).
 
     The same code implements both stock rack awareness and HOG site
@@ -164,89 +119,25 @@ class SiteAwarePolicy(PlacementPolicy):
         self.topology = topology
         self.rng = rng
 
-    def choose_targets(self, writer, count, existing, candidates, space_ok,
-                       site_index=None):
-        """Pick targets per the site-spread rules (see class docstring).
+    def choose_targets(self, writer: Optional[str], count: int,
+                       existing: Set[str], space_ok: Callable[[str], bool],
+                       index: LiveHostIndex) -> List[str]:
+        """Return up to ``count`` live hosts for new replicas.
 
-        Capacity is probed lazily (only for hosts actually considered) and
-        random tie-breaking uses swap-pop draws instead of shuffling every
-        site's full host list — placement cost scales with the replica
-        count, not the cluster size.  With ``site_index`` even the per-call
-        ``site → hosts`` grouping disappears: draws run directly against
-        the cached per-site lists (see :class:`LiveHostIndex`)."""
-        if site_index is not None:
-            return self._choose_from_index(writer, count, existing,
-                                           space_ok, site_index)
-        chosen: List[str] = []
-        taken: Set[str] = set(existing)
-        by_site: Dict[str, List[str]] = {}
-        for h in candidates:
-            if h not in taken:
-                by_site.setdefault(self.topology.site_of(h), []).append(h)
-        if not by_site:
-            return []
+        ``writer`` gets the first replica if it is a viable datanode
+        (``None`` for re-replication); hosts in ``existing`` already hold
+        (or are receiving) a replica and are never chosen; ``space_ok``
+        tests whether a host can accept one more block; ``index`` holds
+        the live datanodes grouped by site.
 
-        site_load: Dict[str, int] = {s: 0 for s in by_site}
-        # Pure commutative count — the result is order-independent.
-        for h in taken:  # set-order-ok
-            s = self.topology.site_of(h)
-            if s in site_load:
-                site_load[s] += 1
-
-        def drop_if_empty(site: str) -> None:
-            if not by_site[site]:
-                del by_site[site]
-                del site_load[site]
-
-        def take(host: str, site: str) -> None:
-            chosen.append(host)
-            taken.add(host)
-            site_load[site] += 1
-            drop_if_empty(site)
-
-        def pop_random_viable(site: str) -> Optional[str]:
-            """Draw hosts from ``site`` without replacement until one has
-            room (full nodes are dropped from further consideration)."""
-            bucket = by_site[site]
-            while bucket:
-                i = int(self.rng.integers(len(bucket)))
-                host = bucket[i]
-                bucket[i] = bucket[-1]
-                bucket.pop()
-                if space_ok(host):
-                    return host
-            return None
-
-        # 1. Writer-local replica.
-        if writer is not None and count > 0 and writer not in taken:
-            wsite = self.topology.site_of(writer)
-            bucket = by_site.get(wsite)
-            if bucket and writer in bucket and space_ok(writer):
-                bucket.remove(writer)
-                take(writer, wsite)
-
-        # 2. Then always pick from the least-loaded domain (which realises
-        #    "one other rack/site" for the second replica and an even
-        #    spread for the rest).
-        while len(chosen) < count and by_site:
-            site = min(site_load, key=lambda s: (site_load[s], s))
-            host = pop_random_viable(site)
-            if host is None:
-                drop_if_empty(site)
-                continue
-            take(host, site)
-
-        return chosen
-
-    def _choose_from_index(self, writer, count, existing, space_ok,
-                           index: LiveHostIndex) -> List[str]:
-        """The cached-index fast path: same selection rules, zero grouping.
-
-        Per-call state is one ``site → remaining draw window`` map.  A draw
-        picks a random host inside the site's window, swaps it to the
-        window's end, and shrinks the window — so within one call no host
-        is considered twice (taken or full hosts fall out of the window),
-        while across calls the lists merely end up permuted."""
+        Capacity is probed lazily (only for hosts actually considered),
+        and draws run directly against the cached per-site lists, so
+        placement cost scales with the replica count, not the cluster
+        size.  Per-call state is one ``site → remaining draw window`` map.
+        A draw picks a random host inside the site's window, swaps it to
+        the window's end, and shrinks the window — so within one call no
+        host is considered twice (taken or full hosts fall out of the
+        window), while across calls the lists merely end up permuted."""
         chosen: List[str] = []
         taken: Set[str] = set(existing)
         #: site → how many of its hosts are still drawable this call.
@@ -294,28 +185,3 @@ class SiteAwarePolicy(PlacementPolicy):
             taken.add(host)
             site_load[site] += 1
         return chosen
-
-
-class RandomPolicy(PlacementPolicy):
-    """Topology-blind placement — the ablation baseline for site awareness
-    (what HOG would do if the topology script were absent and every node
-    fell into the default rack)."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def choose_targets(self, writer, count, existing, candidates, space_ok,
-                       site_index=None):
-        """Pick ``count`` random viable hosts (writer-local first);
-        ``site_index`` is ignored (this policy is topology-blind)."""
-        taken = set(existing)
-        viable = [h for h in candidates if h not in taken and space_ok(h)]
-        chosen: List[str] = []
-        if writer is not None and writer in viable:
-            chosen.append(writer)
-            viable.remove(writer)
-        n = min(count - len(chosen), len(viable))
-        if n > 0:
-            picks = self.rng.choice(len(viable), size=n, replace=False)
-            chosen.extend(viable[i] for i in picks)
-        return chosen[:count]

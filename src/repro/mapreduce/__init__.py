@@ -13,9 +13,9 @@ from .job import (
     TaskType,
 )
 from .delay_scheduler import DelayScheduler
-from .jobtracker import JobFailedError, JobTracker, TrackerDescriptor
+from .jobtracker import JobTracker, TrackerDescriptor
 from .matchmaking import MatchmakingScheduler
-from .scheduler import FifoScheduler, TaskScheduler
+from .scheduler import FifoScheduler
 from .tasktracker import TaskExecutionError, TaskTracker
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "MapOutput",
     "JobTracker",
     "TrackerDescriptor",
-    "JobFailedError",
-    "TaskScheduler",
     "FifoScheduler",
     "DelayScheduler",
     "MatchmakingScheduler",

@@ -68,10 +68,6 @@ class MRConfig:
     #: Task scheduler: ``fifo`` (HOG's choice, §III-B2), ``delay``
     #: (Zaharia et al. [3]), or ``matchmaking`` (He et al. [20]).
     scheduler: str = "fifo"
-    #: Debug: assign via the original per-heartbeat all-jobs scan instead
-    #: of the cluster pending index.  Exists so the equivalence suite can
-    #: prove the two paths emit identical assignment streams; never faster.
-    debug_scan_assign: bool = False
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent settings."""
@@ -81,6 +77,10 @@ class MRConfig:
             raise ValueError("tracker_expiry must exceed heartbeat_interval")
         if self.heartbeats_per_second < 0:
             raise ValueError("heartbeats_per_second cannot be negative")
+        if self.expiry_check_period <= 0:
+            raise ValueError("expiry_check_period must be positive")
+        if self.maps_per_heartbeat < 1 or self.reduces_per_heartbeat < 1:
+            raise ValueError("maps/reduces_per_heartbeat must be >= 1")
         if self.max_task_copies < 1:
             raise ValueError("max_task_copies must be >= 1")
         if self.max_attempts < 1:

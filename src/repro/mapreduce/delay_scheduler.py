@@ -12,8 +12,8 @@ site-local one, and up to ``site_local_delay`` further seconds before
 accepting an arbitrary (cross-site) slot.
 
 Only the per-job decision body differs from FIFO, so the index-driven
-candidate walk (and the ``debug_scan_assign`` fallback) come straight
-from :class:`~repro.mapreduce.scheduler.FifoScheduler`.
+candidate walk comes straight from
+:class:`~repro.mapreduce.scheduler.FifoScheduler`.
 """
 
 from __future__ import annotations

@@ -41,11 +41,7 @@ from .job import (
 )
 from .tasktracker import TaskTracker
 
-__all__ = ["JobTracker", "TrackerDescriptor", "JobFailedError"]
-
-
-class JobFailedError(Exception):
-    """A job exhausted its retries."""
+__all__ = ["JobTracker", "TrackerDescriptor"]
 
 
 class TrackerDescriptor:

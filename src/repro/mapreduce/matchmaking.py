@@ -14,7 +14,7 @@ to evaluate Hadoop schedulers on the same loadgen workload.  The rule:
 Index-driven: passes 1 and 2 walk only the jobs the cluster index says
 have a pending map on this host / in this site (ascending job id — FIFO
 order), so the common "no local work anywhere" heartbeat is O(1), not
-O(jobs).  The all-jobs sweep survives behind ``debug_scan_assign``.
+O(jobs).
 """
 
 from __future__ import annotations
@@ -51,15 +51,13 @@ class MatchmakingScheduler(FifoScheduler):
             self._maybe_reset_markers()
             self._marker[tracker.host] = True
 
-    def _pick_map(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_map(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
         self._maybe_reset_markers()
         chosen_tasks = {t for t, _, _ in already}
         host = tracker.host
 
         # Pass 1: any job with a node-local pending map for this tracker.
-        # The index knows which jobs those are; the scan path asks all.
-        cands = jobs if self.use_scan else self.index.jobs_with_local_maps(host)
-        for job in cands:
+        for job in self.index.jobs_with_local_maps(host):
             if host in job.blacklist:
                 continue
             tasks = self.index.locality(job).host_maps.get(host)
@@ -72,8 +70,7 @@ class MatchmakingScheduler(FifoScheduler):
 
         # Pass 2: site-local, same shape.
         site = self.jobtracker.topology.site_of(host)
-        cands = jobs if self.use_scan else self.index.jobs_with_site_maps(site)
-        for job in cands:
+        for job in self.index.jobs_with_site_maps(site):
             if host in job.blacklist:
                 continue
             tasks = self.index.locality(job).site_maps.get(site)
@@ -88,9 +85,7 @@ class MatchmakingScheduler(FifoScheduler):
         # one round), and only from the head-of-queue job (FIFO fairness).
         if self._marker.get(host):
             speculative = self.config.speculative_execution
-            cands = (jobs if self.use_scan
-                     else self.index.map_candidates(speculative))
-            for job in cands:
+            for job in self.index.map_candidates(speculative):
                 if host in job.blacklist:
                     continue
                 for task in job.pending_map_tasks:

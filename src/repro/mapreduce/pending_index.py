@@ -24,8 +24,8 @@ Invariants (all maintained by :meth:`ClusterPendingIndex._on_transition`):
   now) or snoozed behind its ``spec_gate`` in a lazy heap.
 
 All job collections are keyed by ``job_id`` and walked in ascending-id
-order, which is exactly the jobtracker's FIFO submit order — so index-path
-scheduling visits candidates in the same order the scan path visits jobs.
+order, which is exactly the jobtracker's FIFO submit order — so the
+schedulers visit candidates in the order an all-jobs scan would.
 """
 
 from __future__ import annotations

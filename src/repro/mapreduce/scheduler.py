@@ -15,10 +15,10 @@ Scheduling is *index-driven*: the cluster-wide
 task-state events, and a heartbeat walks only the jobs that can actually
 yield work (pending work present, or a speculation gate passed).  The
 steady-state heartbeat — no pending work, all gates in the future — costs
-O(1).  The original per-heartbeat all-jobs scan survives behind
-``MRConfig.debug_scan_assign``; the two paths share the same per-job
-decision bodies and the same event-maintained lists, so they produce
-bit-identical assignment streams (the equivalence suite asserts this).
+O(1).  The per-job decision bodies are written so that skipping a job
+the index leaves out cannot change the assignment stream:
+``tests/test_scheduler_equivalence.py`` runs them over every schedulable
+job instead and asserts bit-identical streams.
 """
 
 from __future__ import annotations
@@ -32,34 +32,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .jobtracker import JobTracker
     from .tasktracker import TaskTracker
 
-__all__ = ["TaskScheduler", "FifoScheduler"]
+__all__ = ["FifoScheduler"]
 
 
-class TaskScheduler:
-    """Interface: pick tasks for a tracker with free slots."""
+class FifoScheduler:
+    """Hadoop 0.20's default scheduler, as used by HOG."""
 
     def __init__(self, jobtracker: "JobTracker") -> None:
         self.jobtracker = jobtracker
         self.config = jobtracker.config
-
-    def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
-        """Return ``(task, speculative, locality)`` assignments for one
-        heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
-        ``site_local``, ``remote`` for maps and ``n/a`` for reduces."""
-        raise NotImplementedError
-
-
-class FifoScheduler(TaskScheduler):
-    """Hadoop 0.20's default scheduler, as used by HOG."""
-
-    def __init__(self, jobtracker: "JobTracker") -> None:
-        super().__init__(jobtracker)
         self.index = ClusterPendingIndex(jobtracker,
                                          on_job_removed=self._job_removed)
-        #: Debug fallback: the original per-heartbeat all-jobs scan.  Kept
-        #: for the scheduler-equivalence suite; decision bodies are shared
-        #: with the index path.
-        self.use_scan = bool(getattr(self.config, "debug_scan_assign", False))
 
     # -- lifecycle hooks -----------------------------------------------------
     def _job_removed(self, job: Job) -> None:
@@ -72,7 +55,9 @@ class FifoScheduler(TaskScheduler):
 
     # -- assignment ----------------------------------------------------------
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
-        """One heartbeat's assignments for ``tracker`` (see base class)."""
+        """Return ``(task, speculative, locality)`` assignments for one
+        heartbeat from ``tracker``.  ``locality`` is one of ``data_local``,
+        ``site_local``, ``remote`` for maps and ``n/a`` for reduces."""
         out: List[Tuple[Task, bool, str]] = []
         free_maps = tracker.free_map_slots
         free_reduces = tracker.free_reduce_slots
@@ -86,37 +71,33 @@ class FifoScheduler(TaskScheduler):
         index = self.index
         index.sync(jobs)
         index.pull_spec(self.jobtracker.sim._now)
-        if not self.use_scan:
-            # Empty-index gate, after the refresh (a gate passing at this
-            # instant arms its job first): with no candidate job for
-            # either picker, both would return None.  The scan path
-            # bypasses it, so the equivalence suite proves it exact.
-            speculative = self.config.speculative_execution
-            if not (index.map_candidates(speculative)
-                    or index.reduce_candidates(speculative)):
-                self._idle_heartbeat(tracker, free_maps)
-                return out
+        # Empty-index gate, after the refresh (a gate passing at this
+        # instant arms its job first): with no candidate job for either
+        # picker, both would return None.
+        speculative = self.config.speculative_execution
+        if not (index.map_candidates(speculative)
+                or index.reduce_candidates(speculative)):
+            self._idle_heartbeat(tracker, free_maps)
+            return out
 
         for _ in range(min(free_maps, self.config.maps_per_heartbeat)):
-            pick = self._pick_map(tracker, jobs, already=out)
+            pick = self._pick_map(tracker, already=out)
             if pick is None:
                 break
             out.append(pick)
 
         for _ in range(min(free_reduces, self.config.reduces_per_heartbeat)):
-            pick = self._pick_reduce(tracker, jobs, already=out)
+            pick = self._pick_reduce(tracker, already=out)
             if pick is None:
                 break
             out.append(pick)
         return out
 
     # -- map selection -------------------------------------------------------
-    def _pick_map(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_map(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
         chosen_tasks = {t for t, _, _ in already}
         speculative = self.config.speculative_execution
-        candidates = (jobs if self.use_scan
-                      else self.index.map_candidates(speculative))
-        for job in candidates:
+        for job in self.index.map_candidates(speculative):
             pick = self._try_map(job, tracker, chosen_tasks)
             if pick is not None:
                 return pick
@@ -124,11 +105,11 @@ class FifoScheduler(TaskScheduler):
 
     def _try_map(self, job: Job, tracker,
                  chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
-        """The per-job map decision body (shared by scan and index paths).
+        """The per-job map decision body.
 
         Must be side-effect-free and ``None`` for any job with neither a
         pending nor a probe-worthy running map — that is what lets the
-        index path skip such jobs without changing the stream."""
+        index skip such jobs without changing the stream."""
         if tracker.host in job.blacklist:
             return None
         if job.pending_map_tasks:
@@ -179,12 +160,10 @@ class FifoScheduler(TaskScheduler):
         return "remote"
 
     # -- reduce selection ----------------------------------------------------
-    def _pick_reduce(self, tracker, jobs, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_reduce(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
         chosen_tasks = {t for t, _, _ in already}
         speculative = self.config.speculative_execution
-        candidates = (jobs if self.use_scan
-                      else self.index.reduce_candidates(speculative))
-        for job in candidates:
+        for job in self.index.reduce_candidates(speculative):
             pick = self._try_reduce(job, tracker, chosen_tasks)
             if pick is not None:
                 return pick
@@ -192,7 +171,7 @@ class FifoScheduler(TaskScheduler):
 
     def _try_reduce(self, job: Job, tracker,
                     chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
-        """Per-job reduce decision body (shared by scan and index paths)."""
+        """Per-job reduce decision body."""
         if tracker.host in job.blacklist:
             return None
         if not job.reduces_schedulable(self.config.reduce_slowstart):
@@ -217,8 +196,8 @@ class FifoScheduler(TaskScheduler):
                            chosen_tasks) -> Optional[Task]:
         """Probe + arming maintenance: an empty-handed probe that pushed
         the job's gate into the future snoozes it in the cluster index, so
-        the index path stops visiting it until the gate passes (or a
-        completion re-arms it)."""
+        the picks stop visiting it until the gate passes (or a completion
+        re-arms it)."""
         # Gate-still-closed is the overwhelmingly common probe outcome
         # (completions re-arm jobs constantly): answer it with one float
         # compare instead of entering the candidate scan.

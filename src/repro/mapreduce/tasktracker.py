@@ -58,6 +58,9 @@ class TaskTracker:
             raise ValueError("slot counts cannot be negative")
         if speed <= 0:
             raise ValueError("node speed must be positive")
+        if disk.channel is not fabric.channel:
+            raise ValueError(f"tasktracker {host}: the disk must drain "
+                             "through the fabric's channel")
         self.sim = sim
         self.host = host
         self.disk = disk
@@ -262,8 +265,7 @@ class TaskTracker:
         refuses the connection; a zombie tracker's files are gone
         (working directory wiped), so the fetch fails either way.
 
-        When the disk shares the fabric's channel (the normal wiring),
-        the stream is ONE jointly-constrained demand over source disk
+        The stream is ONE jointly-constrained demand over source disk
         read, NICs, and (cross-site) the WAN legs — it drains at the
         max-min share of the slowest of them at every instant, exactly
         like a streaming HTTP response reading from disk.

@@ -2,7 +2,7 @@
 
 from .ascii_plot import plot_series, plot_xy
 from .report import WorkloadResult, format_table
-from ..sim.monitor import CounterSet, EventLog, StepSeries
+from ..sim.monitor import CounterSet, StepSeries
 
 __all__ = ["WorkloadResult", "format_table", "StepSeries", "CounterSet",
-           "EventLog", "plot_series", "plot_xy"]
+           "plot_series", "plot_xy"]

@@ -438,26 +438,12 @@ class NetworkFabric:
     def serve_stream(self, src: str, dst: str, nbytes: float, disk) -> Event:
         """Stream ``nbytes`` read from ``src``'s disk to ``dst``.
 
-        With the normal wiring (the disk shares this fabric's channel)
-        this is ONE jointly-constrained demand over the disk read, the
-        NICs, and (cross-site) the WAN legs.  A standalone disk falls
-        back to overlapped disk read + transfer: the elapsed time is the
-        slower of the two.  Both shapes fail if the disk read or any
-        network leg fails."""
-        if disk.shares_channel_with(self):
-            return self.transfer(src, dst, nbytes,
-                                 extra_constraints=(disk.read_constraint,),
-                                 validate=lambda: disk.alive)
-        return self.sim.all_of([disk.read(nbytes),
-                                self.transfer(src, dst, nbytes)])
-
-    def transfer_time_estimate(self, src: str, dst: str, nbytes: float) -> float:
-        """Uncontended lower-bound duration of a transfer (for planning)."""
-        if src == dst or nbytes == 0:
-            return 0.0
-        links, _ = self._path(src, dst)
-        rate = min(l.capacity for l in links)
-        return self._setup_delay(src, dst) + nbytes / rate
+        ONE jointly-constrained demand over the disk read (``disk`` drains
+        through this fabric's channel), the NICs, and (cross-site) the WAN
+        legs.  It fails if the disk read or any network leg fails."""
+        return self.transfer(src, dst, nbytes,
+                             extra_constraints=(disk.read_constraint,),
+                             validate=lambda: disk.alive)
 
     def abort_host_flows(self, host: str) -> int:
         """Fail every transfer touching ``host`` (node death): flows in the

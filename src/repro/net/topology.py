@@ -10,7 +10,7 @@ Namenode and JobTracker consult.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "DEFAULT_SITE",
@@ -83,37 +83,18 @@ class NetworkTopology:
     def __init__(self, resolver: Optional[SiteResolver] = None) -> None:
         self._resolver = resolver or DnsSiteResolver()
         self._site_of: Dict[str, str] = {}
-        self._members: Dict[str, List[str]] = {}
         #: (a, b) → same-site? memo; the locality test is the hottest
         #: lookup in the system (placement, scheduling, and every fabric
         #: path computation go through it).
         self._same_site_cache: Dict[tuple, bool] = {}
-        self._resolutions = 0
-
-    @property
-    def resolutions(self) -> int:
-        """How many times the resolver script has been invoked."""
-        return self._resolutions
 
     def add_host(self, hostname: str) -> str:
         """Register ``hostname``; returns its site.  Idempotent."""
         site = self._site_of.get(hostname)
         if site is None:
             site = self._resolver.resolve(hostname)
-            self._resolutions += 1
             self._site_of[hostname] = site
-            self._members.setdefault(site, []).append(hostname)
         return site
-
-    def remove_host(self, hostname: str) -> None:
-        """Forget ``hostname`` (e.g. permanently decommissioned)."""
-        site = self._site_of.pop(hostname, None)
-        if site is not None:
-            self._members[site].remove(hostname)
-            if not self._members[site]:
-                del self._members[site]
-            # A stateful resolver could re-classify the host on re-add.
-            self._same_site_cache.clear()
 
     def site_of(self, hostname: str) -> str:
         """Site of a registered host (registers it if unknown)."""
@@ -137,15 +118,7 @@ class NetworkTopology:
 
     def sites(self) -> List[str]:
         """All sites with at least one registered host."""
-        return sorted(self._members)
-
-    def hosts_in(self, site: str) -> List[str]:
-        """Registered hosts in ``site``."""
-        return list(self._members.get(site, ()))
-
-    def num_hosts(self) -> int:
-        """Total registered hosts."""
-        return len(self._site_of)
+        return sorted(set(self._site_of.values()))
 
     def distance(self, a: str, b: str) -> int:
         """Hadoop-style distance: 0 same node, 2 same site, 4 cross-site."""
@@ -154,4 +127,5 @@ class NetworkTopology:
         return 2 if self.same_site(a, b) else 4
 
     def __repr__(self) -> str:
-        return f"<NetworkTopology {len(self._site_of)} hosts in {len(self._members)} sites>"
+        return (f"<NetworkTopology {len(self._site_of)} hosts in "
+                f"{len(self.sites())} sites>")

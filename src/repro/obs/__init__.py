@@ -4,8 +4,8 @@ One coherent observability layer over the whole reproduction, replacing
 the scattered ad-hoc counters that used to be hand-plucked per consumer:
 
 - :mod:`repro.obs.registry` — a metrics registry (counters, gauges,
-  power-of-two histograms) that absorbs every per-subsystem counter
-  behind one :meth:`~repro.obs.registry.Registry.snapshot`;
+  power-of-two histogram buckets) that absorbs every per-subsystem
+  counter behind one :meth:`~repro.obs.registry.Registry.snapshot`;
 - :mod:`repro.obs.probes` — sim-time series probes sampling registered
   gauges on a configurable cadence into
   :class:`~repro.sim.monitor.StepSeries` timelines;

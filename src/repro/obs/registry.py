@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.monitor import CounterSet
 
-__all__ = ["Histogram", "Registry", "trim_hist"]
+__all__ = ["Registry", "trim_hist"]
 
 
 def trim_hist(buckets: Sequence[int]) -> List[int]:
@@ -30,34 +30,6 @@ def trim_hist(buckets: Sequence[int]) -> List[int]:
     while hist and hist[-1] == 0:
         hist.pop()
     return hist
-
-
-class Histogram:
-    """A power-of-two-bucket histogram of positive integer samples.
-
-    ``buckets[k]`` counts samples in ``[2^(k-1), 2^k)`` — the same
-    convention as the channel core's ``pass_size_hist`` — so bucket 0
-    holds zeros, bucket 1 holds ones, bucket 2 holds {2, 3}, and so on.
-    """
-
-    __slots__ = ("name", "buckets", "count", "total")
-
-    def __init__(self, name: str, n_buckets: int = 24) -> None:
-        self.name = name
-        self.buckets = [0] * n_buckets
-        self.count = 0
-        self.total = 0
-
-    def observe(self, value: int) -> None:
-        """Record one sample (clamped into the last bucket)."""
-        self.buckets[min(int(value).bit_length(), len(self.buckets) - 1)] += 1
-        self.count += 1
-        self.total += value
-
-    def as_dict(self) -> dict:
-        """JSON-ready form with trailing zero buckets trimmed."""
-        return {"buckets": trim_hist(self.buckets),
-                "count": self.count, "total": self.total}
 
 
 class Registry:
@@ -72,15 +44,13 @@ class Registry:
     - :meth:`bind_snapshot` — an arbitrary zero-argument callable
       returning a dict (the control-plane roll-up).
 
-    Owned :class:`Histogram` instances and registered gauges round out
-    the registry; gauges are sampled by :class:`~repro.obs.probes.ProbeSet`
-    rather than snapshotted.
+    Registered gauges round out the registry; they are sampled by
+    :class:`~repro.obs.probes.ProbeSet` rather than snapshotted.
     """
 
     def __init__(self) -> None:
         #: namespace → list of zero-arg callables each yielding a dict.
         self._sources: Dict[str, List[Callable[[], dict]]] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: gauge name → zero-arg read-only callable.
         self._gauges: Dict[str, Callable[[], float]] = {}
 
@@ -123,16 +93,6 @@ class Registry:
             return {k: v for k, v in d.items() if k.startswith(prefix)}
 
         self.bind_snapshot(namespace, read)
-
-    def histogram(self, namespace: str, name: str,
-                  n_buckets: int = 24) -> Histogram:
-        """Create (or fetch) an owned histogram under ``namespace``."""
-        key = f"{namespace}.{name}"
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram(key, n_buckets)
-            self.bind_snapshot(namespace, lambda: {name: hist.as_dict()})
-        return hist
 
     # -- gauges ------------------------------------------------------------
     def gauge(self, name: str, fn: Callable[[], float]) -> None:

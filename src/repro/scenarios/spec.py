@@ -124,6 +124,9 @@ class ClusterSpec:
             raise ValueError("uplink caps must be positive")
         for node in self.site_tiers.values():
             node.validate()
+        for cfg in (self.hdfs, self.mr):
+            if cfg is not None:
+                cfg.validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -8,13 +8,13 @@ Public surface:
 - :class:`FairQueue`, :class:`Constraint`, :class:`Demand` — the unified
   max-min fair shared-resource core (network + disk rate sharing).
 - :class:`RngRegistry` — reproducible named random streams.
-- :class:`StepSeries`, :class:`CounterSet`, :class:`EventLog` — measurement.
+- :class:`StepSeries`, :class:`CounterSet` — measurement.
 """
 
 from .channel import Constraint, Demand, FairQueue
 from .engine import EmptySchedule, Simulator
 from .events import AllOf, AnyOf, CallbackTimer, Event, Interrupt, Process, Timeout
-from .monitor import CounterSet, EventLog, StepSeries
+from .monitor import CounterSet, StepSeries
 from .rng import RngRegistry
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "RngRegistry",
     "StepSeries",
     "CounterSet",
-    "EventLog",
 ]

@@ -8,11 +8,11 @@ records right-continuous step functions and computes exactly that integral.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["StepSeries", "CounterSet", "EventLog"]
+__all__ = ["StepSeries", "CounterSet"]
 
 
 class StepSeries:
@@ -157,41 +157,3 @@ class CounterSet:
 
     def __repr__(self) -> str:
         return f"CounterSet({self._counts!r})"
-
-
-class EventLog:
-    """An append-only log of ``(time, kind, payload)`` tuples for debugging
-    and for tests that assert on the order of system events.
-
-    Bounded by default (:data:`DEFAULT_CAPACITY` newest entries kept) so
-    long scale runs cannot grow a log without limit; pass an explicit
-    ``capacity=None`` for the unbounded behaviour tests rely on when they
-    must see every entry.
-    """
-
-    #: Default ring bound — large enough for any test-sized run, small
-    #: enough that a 10k-node sweep cannot hoard entry tuples.
-    DEFAULT_CAPACITY = 65536
-
-    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        self._entries: List[Tuple[float, str, dict]] = []
-        self._capacity = capacity
-
-    def log(self, t: float, kind: str, **payload) -> None:
-        """Append an entry; oldest entries are dropped beyond capacity."""
-        self._entries.append((t, kind, payload))
-        if self._capacity is not None and len(self._entries) > self._capacity:
-            del self._entries[0 : len(self._entries) - self._capacity]
-
-    def entries(self, kind: Optional[str] = None) -> Sequence[Tuple[float, str, dict]]:
-        """All entries, optionally filtered by ``kind``."""
-        if kind is None:
-            return list(self._entries)
-        return [e for e in self._entries if e[1] == kind]
-
-    def count(self, kind: str) -> int:
-        """Number of entries of ``kind``."""
-        return sum(1 for e in self._entries if e[1] == kind)
-
-    def __len__(self) -> int:
-        return len(self._entries)

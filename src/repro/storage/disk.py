@@ -17,10 +17,13 @@ Concurrent reads (and, separately, writes) share the channel bandwidth
 equally.  The sharing itself is delegated to the unified max-min core in
 :mod:`repro.sim.channel`: each I/O direction is one
 :class:`~repro.sim.channel.Constraint` on a :class:`~repro.sim.channel.FairQueue`.
-A disk created with the *fabric's* queue (``channel=fabric.channel``)
-exposes :attr:`Disk.read_constraint` / :attr:`Disk.write_constraint` so
-streaming transfers (shuffle serves, HDFS reads, replication pipelines)
-can be jointly rate-limited by disk and network at once.
+Worker daemons (datanode, tasktracker) require a disk created on the
+*fabric's* queue (``channel=fabric.channel``): streaming transfers
+(shuffle serves, HDFS reads, replication pipelines) then add
+:attr:`Disk.read_constraint` / :attr:`Disk.write_constraint` to their
+network path and are rate-limited by disk and network at once.  A disk
+on a private queue only serves its own timed :meth:`Disk.read` /
+:meth:`Disk.write`.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ class Disk:
         commodity SATA drive).
     channel:
         The :class:`~repro.sim.channel.FairQueue` to drain I/O through.
-        Pass the network fabric's queue to enable joint disk+network
-        rate limiting; defaults to a private queue.
+        Pass the network fabric's queue for joint disk+network rate
+        limiting (required by the worker daemons); defaults to a private
+        queue.
     partition:
         Optional decoupling key for the disk's constraints (the site
         name, matching the fabric's link partitions).
@@ -89,12 +93,6 @@ class Disk:
         self.write_constraint: Constraint = self.channel.constraint(
             f"disk-write:{host}", write_rate, partition)
         self._alive = True
-
-    def shares_channel_with(self, other) -> bool:
-        """True when ``other`` (a fabric or disk) drains through the same
-        :class:`~repro.sim.channel.FairQueue`, i.e. joint disk+network
-        demands are possible."""
-        return getattr(other, "channel", None) is self.channel
 
     # -- capacity --------------------------------------------------------------
     @property

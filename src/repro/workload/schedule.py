@@ -81,10 +81,6 @@ class SubmissionSchedule:
         """Time of the last submission."""
         return self.jobs[-1].submit_time if self.jobs else 0.0
 
-    def jobs_of_bin(self, bin_id: int) -> List[ScheduledJob]:
-        """Scheduled jobs belonging to one Table I/II bin."""
-        return [j for j in self.jobs if j.bin_id == bin_id]
-
 
 def build_facebook_schedule(
         rng: np.random.Generator,

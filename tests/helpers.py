@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.hdfs import Datanode, HdfsClient, HdfsConfig, Namenode, SiteAwarePolicy
 from repro.mapreduce import JobSpec, JobTracker, MRConfig, TaskTracker
+from repro.mapreduce import scheduler as scheduler_mod
+from repro.mapreduce.pending_index import ClusterPendingIndex
 from repro.net import DnsSiteResolver, FabricConfig, NetworkFabric, NetworkTopology
 from repro.sim import Simulator
 from repro.storage import Disk
@@ -20,7 +23,6 @@ class HdfsHarness:
                  config: Optional[HdfsConfig] = None,
                  disk_capacity: float = 100e9,
                  fabric_config: Optional[FabricConfig] = None,
-                 shared_channel: bool = False,
                  seed: int = 7) -> None:
         self.sim = Simulator()
         self.topology = NetworkTopology(DnsSiteResolver())
@@ -30,9 +32,6 @@ class HdfsHarness:
                 nic_bandwidth=100e6, site_uplink_bandwidth=500e6,
                 intra_site_latency=0.0005, inter_site_latency=0.04))
         self.config = config or HdfsConfig()
-        #: True = disks drain through the fabric's channel (the HOG worker
-        #: wiring), enabling joint disk+network streaming demands.
-        self.shared_channel = shared_channel
         rng = np.random.default_rng(seed)
         self.namenode = Namenode(
             self.sim, self.topology,
@@ -46,12 +45,9 @@ class HdfsHarness:
 
     def add_datanode(self, host: str, read_rate: float = 90e6,
                      write_rate: float = 70e6) -> Datanode:
-        kwargs = {}
-        if self.shared_channel:
-            kwargs = dict(channel=self.fabric.channel,
-                          partition=self.topology.site_of(host))
-        disk = Disk(self.sim, host, self.disk_capacity,
-                    read_rate, write_rate, **kwargs)
+        disk = Disk(self.sim, host, self.disk_capacity, read_rate, write_rate,
+                    channel=self.fabric.channel,
+                    partition=self.topology.site_of(host))
         dn = Datanode(self.sim, host, disk, self.fabric, self.namenode, self.config)
         dn.start()
         self.datanodes[host] = dn
@@ -107,7 +103,9 @@ class MRHarness:
             self.add_node(f"node{i:03d}.{site}")
 
     def add_node(self, host: str, speed: float = 1.0) -> None:
-        disk = Disk(self.sim, host, self.disk_capacity)
+        disk = Disk(self.sim, host, self.disk_capacity,
+                    channel=self.fabric.channel,
+                    partition=self.topology.site_of(host))
         dn = Datanode(self.sim, host, disk, self.fabric, self.namenode,
                       self.hdfs_config)
         dn.start()
@@ -160,3 +158,32 @@ class MRHarness:
         raise AssertionError(
             f"jobs not finished by t={timeout}: "
             f"{[(j.job_id, j.status) for j in jobs if j.finish_time is None]}")
+
+
+class ScanPendingIndex(ClusterPendingIndex):
+    """Scheduler oracle: every candidate query answers with all
+    schedulable jobs, in FIFO order — a per-heartbeat all-jobs scan.
+
+    The index is still maintained as usual (the decision bodies read its
+    per-job locality lists); only the candidate lists change.  They are
+    never empty while a job is schedulable, so the empty-index gate never
+    trips, and comparing a run under this oracle with a normal run proves
+    both the index's candidate selection and the gate exact."""
+
+    def _all_jobs(self, *_):
+        return self.jobtracker.schedulable_jobs()
+
+    map_candidates = reduce_candidates = _all_jobs
+    jobs_with_local_maps = jobs_with_site_maps = _all_jobs
+
+
+@contextmanager
+def scan_scheduling():
+    """Build every scheduler created inside the block on
+    :class:`ScanPendingIndex`."""
+    original = scheduler_mod.ClusterPendingIndex
+    scheduler_mod.ClusterPendingIndex = ScanPendingIndex
+    try:
+        yield
+    finally:
+        scheduler_mod.ClusterPendingIndex = original

@@ -75,7 +75,7 @@ class TestBalancing:
             info = h.namenode.block_info(bid)
             # replicas is a set of distinct hosts by construction; check
             # the datanodes agree (no double-stored block).
-            holders = [x for x, dn in h.datanodes.items() if dn.has_block(bid)]
+            holders = [x for x, dn in h.datanodes.items() if bid in dn.block_report()]
             assert sorted(holders) == sorted(info.replicas)
 
     def test_balanced_cluster_is_noop(self):
@@ -109,7 +109,7 @@ class TestJointStreamingMoves:
         disk, plus one empty datanode in another site."""
         h = HdfsHarness(n_nodes=0, n_sites=2,
                         config=hog_config(replication=1),
-                        disk_capacity=1e9, shared_channel=True)
+                        disk_capacity=1e9)
         h.add_datanode("loaded00.site0.edu", read_rate=read_rate,
                        write_rate=500e6)
         client = h.client()
@@ -178,7 +178,7 @@ class TestJointStreamingMoves:
         """Replica-count invariants survive the joint streaming path."""
         h = HdfsHarness(n_nodes=3, n_sites=3,
                         config=hog_config(replication=2),
-                        disk_capacity=3e9, shared_channel=True)
+                        disk_capacity=3e9)
         client = h.client()
         for i in range(12):
             client.preload_file(f"/f{i}", 64 * MB, replication=2)

@@ -142,7 +142,6 @@ class TestCondorSchedd:
         jobs = [FakeJob() for _ in range(3)]
         c1 = schedd.submit(SubmissionFile(requirements=("X",), queue=3), jobs)
         assert all(j.cluster_id == c1 for j in jobs)
-        assert schedd.queue_size() == 3
         assert len(schedd.idle_jobs()) == 3
 
         more = [FakeJob()]
@@ -155,12 +154,15 @@ class TestCondorSchedd:
         class FakeJob:
             state = "idle"
             cluster_id = None
+            removals = 0
 
             def removed(self):
                 self.state = "removed"
+                self.removals += 1
 
         j = FakeJob()
         schedd.submit(SubmissionFile(requirements=("X",), queue=1), [j])
         schedd.remove(j)
-        assert schedd.queue_size() == 0
+        schedd.remove(j)  # no longer queued: a second condor_rm is a no-op
+        assert j.removals == 1
         assert j.state == "removed"

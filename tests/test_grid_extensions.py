@@ -1,4 +1,4 @@
-"""Tests for preemption traces and SRM/GridFTP staging."""
+"""Tests for preemption traces."""
 
 import pytest
 
@@ -7,13 +7,10 @@ from repro.grid import (
     PreemptionEvent,
     PreemptionTrace,
     SitePolicy,
-    SrmError,
-    StorageElement,
     TraceDriver,
     TraceRecorder,
 )
 from repro.core import HOGConfig, HOGSystem
-from repro.net import FabricConfig, NetworkFabric, NetworkTopology
 from repro.sim import Simulator
 
 
@@ -35,7 +32,7 @@ class TestPreemptionTrace:
         t = PreemptionTrace([PreemptionEvent(50.0, "B"),
                              PreemptionEvent(10.0, "A")])
         assert [e.time for e in t.events] == [10.0, 50.0]
-        assert t.total_victims() == 2
+        assert sum(e.count for e in t.events) == 2
 
     def test_invalid_event_rejected(self):
         with pytest.raises(ValueError):
@@ -110,59 +107,3 @@ class TestTraceDriver:
         sim2.run(until=sim2.now + 900.0)
         assert (hog2.factory.counters.get("glideins_preempted")
                 + driver.skipped) == n_recorded
-
-
-class TestStorageElement:
-    def _se(self, n_servers=3):
-        sim = Simulator()
-        topo = NetworkTopology()
-        fabric = NetworkFabric(sim, topo, FabricConfig(
-            nic_bandwidth=100.0, site_uplink_bandwidth=1000.0,
-            intra_site_latency=0.0, inter_site_latency=0.0))
-        hosts = [f"gridftp{i}.fnal.gov" for i in range(n_servers)]
-        return sim, StorageElement(sim, fabric, hosts, srm_latency=0.5)
-
-    def test_register_and_stat(self):
-        sim, se = self._se()
-        se.register("/store/data.root", 1000.0)
-        assert se.stat("/store/data.root").size == 1000.0
-        with pytest.raises(SrmError):
-            se.stat("/store/missing")
-
-    def test_fetch_timing(self):
-        sim, se = self._se(n_servers=1)
-        se.register("/f", 1000.0)
-        ev = se.fetch("/f", "worker.ucsd.edu")
-        sim.run(until=ev)
-        # 0.5s SRM + 1000B/100Bps = 10.5s
-        assert sim.now == pytest.approx(10.5)
-        assert ev.value == "gridftp0.fnal.gov"
-
-    def test_fetch_missing_fails(self):
-        sim, se = self._se()
-        ev = se.fetch("/nope", "worker.ucsd.edu")
-        sim.run()
-        with pytest.raises(SrmError):
-            ev.result()
-
-    def test_load_balanced_across_servers(self):
-        sim, se = self._se(n_servers=3)
-        for i in range(6):
-            se.register(f"/f{i}", 500.0)
-        ev = se.stage_many([f"/f{i}" for i in range(6)],
-                           "worker.ucsd.edu")
-        sim.run(until=ev)
-        # All three servers served (2 each under least-loaded referral).
-        assert sorted(se.served.values()) == [2, 2, 2]
-
-    def test_validation(self):
-        sim = Simulator()
-        topo = NetworkTopology()
-        fabric = NetworkFabric(sim, topo)
-        with pytest.raises(ValueError):
-            StorageElement(sim, fabric, [])
-        with pytest.raises(ValueError):
-            StorageElement(sim, fabric, ["h.x.edu"], srm_latency=-1)
-        se = StorageElement(sim, fabric, ["h.x.edu"])
-        with pytest.raises(ValueError):
-            se.register("/f", -5.0)

@@ -7,13 +7,15 @@ from repro.hdfs import (
     MB,
     BlockUnavailableError,
     HdfsConfig,
+    Datanode,
     HdfsError,
-    RandomPolicy,
+    LiveHostIndex,
     SiteAwarePolicy,
     hog_config,
     stock_hadoop_config,
 )
 from repro.net import DnsSiteResolver, NetworkTopology
+from repro.storage import Disk
 
 from helpers import HdfsHarness
 
@@ -39,6 +41,9 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("block_size", 0), ("replication", 0), ("heartbeat_interval", -1),
         ("disk_reserve_fraction", 1.5),
+        # A monitor loops on ``timeout(period)``: 0 would spin forever.
+        ("heartbeat_recheck_period", 0.0),
+        ("replication_monitor_period", -1.0),
     ])
     def test_invalid_configs_rejected(self, field, value):
         cfg = HdfsConfig()
@@ -50,6 +55,14 @@ class TestConfig:
         cfg = HdfsConfig(heartbeat_interval=10.0, heartbeat_timeout=5.0)
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+class TestDiskWiring:
+    def test_datanode_rejects_a_private_queue_disk(self):
+        h = HdfsHarness(n_nodes=0)
+        disk = Disk(h.sim, "n0.site0.edu", 1e9)  # its own FairQueue
+        with pytest.raises(ValueError):
+            Datanode(h.sim, "n0.site0.edu", disk, h.fabric, h.namenode)
 
 
 class TestNamespace:
@@ -95,33 +108,32 @@ class TestNamespace:
 
 
 class TestPlacement:
-    def _policy(self, seed=0):
+    """The site-spread rules, on a freshly built live-host index."""
+
+    def _policy(self, hosts, seed=0):
         topo = NetworkTopology(DnsSiteResolver())
-        return topo, SiteAwarePolicy(topo, np.random.default_rng(seed))
+        idx = LiveHostIndex(topo)
+        for h in hosts:
+            idx.add(h)
+        return topo, SiteAwarePolicy(topo, np.random.default_rng(seed)), idx
 
     def test_writer_gets_first_replica(self):
-        topo, pol = self._policy()
         hosts = [f"n{i}.s{i % 3}.edu" for i in range(9)]
-        for hh in hosts:
-            topo.add_host(hh)
-        targets = pol.choose_targets(hosts[0], 3, set(), hosts, lambda h: True)
+        topo, pol, idx = self._policy(hosts)
+        targets = pol.choose_targets(hosts[0], 3, set(), lambda h: True, idx)
         assert targets[0] == hosts[0]
         assert len(targets) == 3
 
     def test_second_replica_different_site(self):
-        topo, pol = self._policy()
         hosts = [f"n{i}.s{i % 3}.edu" for i in range(9)]
-        for hh in hosts:
-            topo.add_host(hh)
-        targets = pol.choose_targets(hosts[0], 3, set(), hosts, lambda h: True)
+        topo, pol, idx = self._policy(hosts)
+        targets = pol.choose_targets(hosts[0], 3, set(), lambda h: True, idx)
         assert topo.site_of(targets[1]) != topo.site_of(targets[0])
 
     def test_replicas_spread_across_sites(self):
-        topo, pol = self._policy()
         hosts = [f"n{i}.s{i % 3}.edu" for i in range(9)]
-        for hh in hosts:
-            topo.add_host(hh)
-        targets = pol.choose_targets(hosts[0], 6, set(), hosts, lambda h: True)
+        topo, pol, idx = self._policy(hosts)
+        targets = pol.choose_targets(hosts[0], 6, set(), lambda h: True, idx)
         per_site = {}
         for t in targets:
             per_site[topo.site_of(t)] = per_site.get(topo.site_of(t), 0) + 1
@@ -129,50 +141,37 @@ class TestPlacement:
         assert sorted(per_site.values()) == [2, 2, 2]
 
     def test_existing_replicas_never_rechosen(self):
-        topo, pol = self._policy()
         hosts = [f"n{i}.s{i % 3}.edu" for i in range(6)]
-        for hh in hosts:
-            topo.add_host(hh)
+        topo, pol, idx = self._policy(hosts)
         existing = {hosts[0], hosts[1]}
-        targets = pol.choose_targets(None, 2, existing, hosts, lambda h: True)
+        targets = pol.choose_targets(None, 2, existing, lambda h: True, idx)
         assert not (set(targets) & existing)
 
     def test_space_constraint_respected(self):
-        topo, pol = self._policy()
         hosts = [f"n{i}.s{i % 3}.edu" for i in range(6)]
-        for hh in hosts:
-            topo.add_host(hh)
+        topo, pol, idx = self._policy(hosts)
         full = {hosts[0], hosts[2]}
-        targets = pol.choose_targets(hosts[0], 4, set(), hosts,
-                                     lambda h: h not in full)
+        targets = pol.choose_targets(hosts[0], 4, set(),
+                                     lambda h: h not in full, idx)
         assert not (set(targets) & full)
         assert len(targets) == 4
 
     def test_fewer_candidates_than_replicas(self):
-        topo, pol = self._policy()
         hosts = ["a.x.edu", "b.y.edu"]
-        for hh in hosts:
-            topo.add_host(hh)
-        targets = pol.choose_targets(None, 10, set(), hosts, lambda h: True)
+        topo, pol, idx = self._policy(hosts)
+        targets = pol.choose_targets(None, 10, set(), lambda h: True, idx)
         assert sorted(targets) == sorted(hosts)
 
     def test_no_candidates_returns_empty(self):
-        topo, pol = self._policy()
-        assert pol.choose_targets(None, 3, set(), [], lambda h: True) == []
-
-    def test_random_policy_count_and_exclusion(self):
-        pol = RandomPolicy(np.random.default_rng(1))
-        hosts = [f"n{i}.s.edu" for i in range(10)]
-        targets = pol.choose_targets("n0.s.edu", 4, {"n1.s.edu"}, hosts,
-                                     lambda h: True)
-        assert len(targets) == 4
-        assert targets[0] == "n0.s.edu"
-        assert "n1.s.edu" not in targets
+        topo, pol, idx = self._policy([])
+        assert pol.choose_targets(None, 3, set(), lambda h: True, idx) == []
+        # A writer that is not a live datanode gets no local replica.
+        assert pol.choose_targets("w.x.edu", 3, set(), lambda h: True,
+                                  idx) == []
 
 
 class TestLiveHostIndex:
     def _index(self, hosts):
-        from repro.hdfs import LiveHostIndex
         topo = NetworkTopology(DnsSiteResolver())
         idx = LiveHostIndex(topo)
         for h in hosts:
@@ -217,36 +216,41 @@ class TestLiveHostIndex:
 
 
 class TestPlacementWithIndex:
-    """SiteAwarePolicy's cached-index fast path obeys the same selection
-    rules as the per-call grouping path."""
+    """The same rules on a long-lived index, the namenode's steady state:
+    earlier calls have permuted its per-site lists in place, and hosts
+    have joined and left."""
 
     def _setup(self, n=9, n_sites=3, seed=0):
-        from repro.hdfs import LiveHostIndex
         topo = NetworkTopology(DnsSiteResolver())
         pol = SiteAwarePolicy(topo, np.random.default_rng(seed))
         hosts = [f"n{i}.s{i % n_sites}.edu" for i in range(n)]
+        gone = [f"gone{i}.s{i % n_sites}.edu" for i in range(n_sites)]
         idx = LiveHostIndex(topo)
-        for h in hosts:
+        for h in gone + hosts:
             idx.add(h)
+        for _ in range(5):
+            pol.choose_targets(None, n_sites, set(), lambda h: True, idx)
+        for h in gone:
+            idx.discard(h)
         return topo, pol, hosts, idx
 
     def test_writer_gets_first_replica(self):
         topo, pol, hosts, idx = self._setup()
-        targets = pol.choose_targets(hosts[0], 3, set(), hosts,
-                                     lambda h: True, site_index=idx)
+        targets = pol.choose_targets(hosts[0], 3, set(),
+                                     lambda h: True, idx)
         assert targets[0] == hosts[0]
         assert len(targets) == 3
 
     def test_second_replica_different_site(self):
         topo, pol, hosts, idx = self._setup()
-        targets = pol.choose_targets(hosts[0], 3, set(), hosts,
-                                     lambda h: True, site_index=idx)
+        targets = pol.choose_targets(hosts[0], 3, set(),
+                                     lambda h: True, idx)
         assert topo.site_of(targets[1]) != topo.site_of(targets[0])
 
     def test_replicas_spread_across_sites(self):
         topo, pol, hosts, idx = self._setup()
-        targets = pol.choose_targets(hosts[0], 6, set(), hosts,
-                                     lambda h: True, site_index=idx)
+        targets = pol.choose_targets(hosts[0], 6, set(),
+                                     lambda h: True, idx)
         per_site = {}
         for t in targets:
             per_site[topo.site_of(t)] = per_site.get(topo.site_of(t), 0) + 1
@@ -255,30 +259,30 @@ class TestPlacementWithIndex:
     def test_existing_replicas_never_rechosen(self):
         topo, pol, hosts, idx = self._setup(n=6)
         existing = {hosts[0], hosts[1]}
-        targets = pol.choose_targets(None, 2, existing, hosts,
-                                     lambda h: True, site_index=idx)
+        targets = pol.choose_targets(None, 2, existing,
+                                     lambda h: True, idx)
         assert len(targets) == 2
         assert not (set(targets) & existing)
 
     def test_space_constraint_respected(self):
         topo, pol, hosts, idx = self._setup(n=6)
         full = {hosts[0], hosts[2]}
-        targets = pol.choose_targets(hosts[0], 4, set(), hosts,
-                                     lambda h: h not in full, site_index=idx)
+        targets = pol.choose_targets(hosts[0], 4, set(),
+                                     lambda h: h not in full, idx)
         assert not (set(targets) & full)
         assert len(targets) == 4
 
     def test_fewer_candidates_than_replicas(self):
         topo, pol, hosts, idx = self._setup(n=2, n_sites=2)
-        targets = pol.choose_targets(None, 10, set(), hosts,
-                                     lambda h: True, site_index=idx)
+        targets = pol.choose_targets(None, 10, set(),
+                                     lambda h: True, idx)
         assert sorted(targets) == sorted(hosts)
 
     def test_draws_never_duplicate_within_one_call(self):
         _, pol, hosts, idx = self._setup(n=30, n_sites=3, seed=5)
         for _ in range(50):
-            targets = pol.choose_targets(None, 10, set(), hosts,
-                                         lambda h: True, site_index=idx)
+            targets = pol.choose_targets(None, 10, set(),
+                                         lambda h: True, idx)
             assert len(targets) == len(set(targets)) == 10
 
     def test_namenode_index_tracks_deaths(self):

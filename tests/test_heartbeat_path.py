@@ -14,6 +14,8 @@
   ``invalidate_work_per_heartbeat`` ids at a time, in queue order.
 """
 
+from contextlib import nullcontext
+
 from repro.core import HOGConfig, HOGSystem
 from repro.faults.invariants import InvariantChecker
 from repro.grid import GridSiteConfig, SitePolicy
@@ -22,7 +24,7 @@ from repro.mapreduce import MRConfig
 from repro.obs.probes import ProbeSet
 from repro.sim import Simulator
 
-from helpers import HdfsHarness, MRHarness
+from helpers import HdfsHarness, MRHarness, ScanPendingIndex, scan_scheduling
 
 
 def _small_hog(target=4):
@@ -122,19 +124,22 @@ class TestEmptyIndexGate:
         node even when no job has work; the idle hook replays it.  A node
         joining once the index is empty (maps running, speculation
         snoozed) meets the gate on its first heartbeat."""
-        markers = []
-        for scan in (False, True):
-            h = MRHarness(n_nodes=4, n_sites=2, mr_config=MRConfig(
-                scheduler="matchmaking", debug_scan_assign=scan))
+        def run(scan):
+            with scan_scheduling() if scan else nullcontext():
+                h = MRHarness(n_nodes=4, n_sites=2, mr_config=MRConfig(
+                    scheduler="matchmaking"))
             h.submit("mm", num_maps=2, num_reduces=0,
                      map_cpu_per_block=60.0)
             h.run(until=10.0)
             index = h.jobtracker.scheduler.index
+            assert isinstance(index, ScanPendingIndex) == scan
             if not scan:
                 assert not index.map_candidates(True)
             h.add_node("node004.site0.edu")
             h.run(until=20.0)
-            markers.append(dict(h.jobtracker.scheduler._marker))
+            return dict(h.jobtracker.scheduler._marker)
+
+        markers = [run(False), run(True)]
         assert markers[0] == markers[1]
         assert markers[0].get("node004.site0.edu")
 

@@ -155,10 +155,6 @@ class TestConfigValidation:
         cfg.validate()
         assert cfg.wrapper.package_host == cfg.central_host
 
-    def test_total_capacity(self):
-        cfg = small_config(n_sites=3, capacity=20)
-        assert cfg.total_grid_capacity == 60
-
     def test_node_config_validation(self):
         with pytest.raises(ValueError):
             NodeConfig(speed_min=2.0, speed_max=1.0).validate()

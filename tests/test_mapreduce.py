@@ -8,9 +8,12 @@ from repro.mapreduce import (
     JobStatus,
     MRConfig,
     TaskStatus,
+    TaskTracker,
     hog_mr_config,
     stock_mr_config,
 )
+
+from repro.storage import Disk
 
 from helpers import MRHarness
 
@@ -36,12 +39,25 @@ class TestConfig:
         ("heartbeat_interval", 0), ("max_task_copies", 0),
         ("reduce_slowstart", 2.0), ("parallel_shuffle_copies", 0),
         ("speculation_slowness_factor", 0.5), ("sort_rate", 0),
+        # The expiry monitor loops on ``timeout(period)``: 0 spins.
+        ("expiry_check_period", 0.0),
+        # Below 1 no task is ever assigned.
+        ("maps_per_heartbeat", 0), ("reduces_per_heartbeat", 0),
     ])
     def test_invalid_configs_rejected(self, field, value):
         cfg = MRConfig()
         setattr(cfg, field, value)
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+class TestDiskWiring:
+    def test_tasktracker_rejects_a_private_queue_disk(self):
+        h = MRHarness(n_nodes=0)
+        disk = Disk(h.sim, "n0.site0.edu", 1e9)  # its own FairQueue
+        with pytest.raises(ValueError):
+            TaskTracker(h.sim, "n0.site0.edu", disk, h.fabric, h.namenode,
+                        h.jobtracker)
 
 
 class TestJobSpec:

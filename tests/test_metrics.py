@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import CounterSet, EventLog, StepSeries, WorkloadResult, format_table
+from repro.metrics import CounterSet, StepSeries, WorkloadResult, format_table
 
 
 class TestStepSeries:
@@ -133,39 +133,6 @@ class TestCounters:
         c.incr("x", 4)
         assert c.get("x") == 5
         assert c.as_dict() == {"x": 5}
-
-
-class TestEventLog:
-    def test_append_and_filter(self):
-        log = EventLog()
-        log.log(1.0, "preempt", host="a")
-        log.log(2.0, "preempt", host="b")
-        log.log(3.0, "join", host="c")
-        assert len(log) == 3
-        assert log.count("preempt") == 2
-        assert [e[2]["host"] for e in log.entries("preempt")] == ["a", "b"]
-
-    def test_capacity_bound(self):
-        log = EventLog(capacity=2)
-        for i in range(5):
-            log.log(float(i), "e", i=i)
-        assert len(log) == 2
-        assert [e[2]["i"] for e in log.entries()] == [3, 4]
-
-    def test_bounded_by_default(self):
-        log = EventLog()
-        assert EventLog.DEFAULT_CAPACITY == 65536
-        for i in range(EventLog.DEFAULT_CAPACITY + 10):
-            log.log(float(i), "e", i=i)
-        assert len(log) == EventLog.DEFAULT_CAPACITY
-        # The newest entries win.
-        assert log.entries()[-1][2]["i"] == EventLog.DEFAULT_CAPACITY + 9
-
-    def test_explicit_none_is_unbounded(self):
-        log = EventLog(capacity=None)
-        for i in range(EventLog.DEFAULT_CAPACITY + 10):
-            log.log(float(i), "e")
-        assert len(log) == EventLog.DEFAULT_CAPACITY + 10
 
 
 class TestWorkloadResult:

@@ -300,15 +300,20 @@ class TestStarvationGuard:
 
 
 class TestEstimates:
+    """An uncontended transfer costs its setup delay plus bytes over the
+    narrowest link on its path, exactly."""
+
     def test_estimate_matches_uncontended_run(self):
-        sim, fabric = make_fabric()
-        est = fabric.transfer_time_estimate("a.unl.edu", "b.unl.edu", 1000.0)
-        t = run_transfer(sim, fabric, "a.unl.edu", "b.unl.edu", 1000.0)
-        assert t == pytest.approx(est)
+        sim, fabric = make_fabric(inter_site_latency=0.5,
+                                  connection_overhead=0.25,
+                                  handshake_rtts=1.0)
+        t = run_transfer(sim, fabric, "a.unl.edu", "b.mit.edu", 1000.0)
+        # latency + overhead + one handshake RTT, then 1000 B at the NIC.
+        assert t == pytest.approx(0.5 + 0.25 + 2 * 0.5 + 1000.0 / 100.0)
 
     def test_estimate_loopback_zero(self):
-        sim, fabric = make_fabric()
-        assert fabric.transfer_time_estimate("a.unl.edu", "a.unl.edu", 1e9) == 0.0
+        sim, fabric = make_fabric(connection_overhead=0.25)
+        assert run_transfer(sim, fabric, "a.unl.edu", "a.unl.edu", 1e9) == 0.0
 
 
 class TestConfig:

@@ -22,13 +22,12 @@ hostnames = st.from_regex(r"[a-z]{1,8}\.[a-z]{1,8}\.(edu|gov|org)",
 class TestTopologyProperties:
     @given(st.lists(hostnames, min_size=1, max_size=30))
     def test_every_host_lands_in_exactly_one_site(self, hosts):
-        topo = NetworkTopology(DnsSiteResolver())
+        resolver = DnsSiteResolver()
+        topo = NetworkTopology(resolver)
         for h in hosts:
             topo.add_host(h)
-        seen = []
-        for site in topo.sites():
-            seen.extend(topo.hosts_in(site))
-        assert sorted(seen) == sorted(set(hosts))
+        assert all(topo.site_of(h) == resolver.resolve(h) for h in hosts)
+        assert topo.sites() == sorted({resolver.resolve(h) for h in hosts})
 
     @given(hostnames, hostnames)
     def test_same_site_is_symmetric(self, a, b):
@@ -47,11 +46,18 @@ class TestTopologyProperties:
 
     @given(st.lists(hostnames, min_size=1, max_size=20, unique=True))
     def test_resolution_count_equals_unique_hosts(self, hosts):
-        topo = NetworkTopology(DnsSiteResolver())
+        calls = []
+
+        class Counting(DnsSiteResolver):
+            def resolve(self, hostname):
+                calls.append(hostname)
+                return super().resolve(hostname)
+
+        topo = NetworkTopology(Counting())
         for h in hosts:
             topo.add_host(h)
             topo.add_host(h)  # idempotent
-        assert topo.resolutions == len(hosts)
+        assert calls == hosts
 
 
 class TestStepSeriesProperties:
@@ -128,7 +134,8 @@ class TestFabricProperties:
         for si, di, size in transfers:
             src = f"n{si}.s{si % 3}.edu"
             dst = f"m{di}.t{di % 3}.edu"
-            lower = fabric.transfer_time_estimate(src, dst, size)
+            # No latency or overhead: bytes over the 100 B/s NICs.
+            lower = size / 100.0
             events.append((fabric.transfer(src, dst, size), lower))
         sim.run()
         for ev, lower in events:

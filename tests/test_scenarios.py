@@ -119,6 +119,24 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError):
             ScenarioSpec(name="").validate()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("hdfs", "heartbeat_recheck_period", 0.0),
+        ("hdfs", "replication_monitor_period", 0.0),
+        ("mr", "expiry_check_period", 0.0),
+        ("mr", "maps_per_heartbeat", 0),
+        ("mr", "reduces_per_heartbeat", 0),
+    ])
+    def test_validation_rejects_bad_daemon_configs(self, section, field,
+                                                   value):
+        """A spec JSON can carry whole HDFS/MapReduce configs; one that
+        would hang a monitor or never assign a task is rejected before
+        anything is built."""
+        d = registry.build("baseline", seed=1, **SMOKE).to_dict()
+        d["cluster"][section] = {field: value}
+        spec = ScenarioSpec.from_json(json.dumps(d))
+        with pytest.raises(ValueError):
+            spec.validate()
+
 
 class TestRunnerConfig:
     """build_config resolves specs without running anything."""
@@ -150,7 +168,7 @@ class TestRunnerConfig:
     def test_grow_to_sizes_the_grid(self):
         spec = registry.build("rebalance_under_load", n_nodes=20)
         cfg = ScenarioRunner(spec).build_config()
-        assert cfg.total_grid_capacity >= spec.grow_to
+        assert sum(s.capacity for s in cfg.sites) >= spec.grow_to
 
     def test_uplink_caps_apply_to_wan_links(self):
         """The override must reach the actual Link capacity."""

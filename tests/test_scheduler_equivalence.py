@@ -1,11 +1,13 @@
-"""Equivalence proof for the indexed assignment path (PR 6 tentpole).
+"""Equivalence proof for the indexed assignment path.
 
-The scheduler refactor replaced the per-heartbeat all-jobs scan with
-cluster-wide pending indexes updated on task-state events.  The old scan
-survives behind ``MRConfig.debug_scan_assign`` for exactly this suite:
-run registry scenarios under both paths and assert the *assignment
-streams* — every (time, job, task, host, speculative, locality) launch
-tuple, in order — are identical per seed.
+The schedulers pick from cluster-wide pending indexes updated on
+task-state events, and skip a heartbeat outright when both candidate
+lists are empty.  This suite runs registry scenarios twice — once as
+built, once with the scheduler's index swapped for
+:class:`helpers.ScanPendingIndex`, whose candidate lists are every
+schedulable job (the per-heartbeat all-jobs scan) — and asserts the
+*assignment streams* — every (time, job, task, host, speculative,
+locality) launch tuple, in order — are identical per seed.
 
 Scenarios are shrunk (nodes/scale) so the suite stays in the fast tier;
 the combos cover all three schedulers and the churn-heavy scenario where
@@ -19,19 +21,24 @@ from dataclasses import replace
 
 import pytest
 
-from repro.mapreduce.config import hog_mr_config
 from repro.mapreduce.jobtracker import JobTracker
+from repro.mapreduce.pending_index import ClusterPendingIndex
 from repro.scenarios import registry
 from repro.scenarios.runner import ScenarioRunner
+
+from helpers import ScanPendingIndex, scan_scheduling
 
 
 def _capture_stream(spec):
     """Run a scenario while recording every task launch the jobtracker
-    performs, in order, as hashable tuples."""
+    performs, in order, as hashable tuples, plus the classes of the
+    pending indexes the launching schedulers used."""
     stream = []
+    index_types = set()
     original = JobTracker._launch
 
     def recording(self, task, tracker, speculative, locality):
+        index_types.add(type(self.scheduler.index))
         stream.append((round(self.sim.now, 9), task.job.job_id,
                        str(task.type), task.index, tracker.host,
                        bool(speculative), locality))
@@ -42,26 +49,27 @@ def _capture_stream(spec):
         result = ScenarioRunner(spec).run()
     finally:
         JobTracker._launch = original
-    return stream, result
+    return stream, result, index_types
 
 
-def _spec_for(scenario, scheduler, scan, *, n_nodes, scale, seed):
+def _spec_for(scenario, scheduler, *, n_nodes, scale, seed):
     spec = registry.build(scenario, n_nodes=n_nodes, scale=scale, seed=seed)
     spec.scheduler = scheduler
-    mr = spec.cluster.mr or hog_mr_config()
-    spec.cluster.mr = replace(mr, scheduler=scheduler,
-                              debug_scan_assign=scan)
     return spec
 
 
 def _assert_equivalent(scenario, scheduler, *, n_nodes, scale, seed):
-    scan_stream, scan_result = _capture_stream(
-        _spec_for(scenario, scheduler, True,
-                  n_nodes=n_nodes, scale=scale, seed=seed))
-    index_stream, index_result = _capture_stream(
-        _spec_for(scenario, scheduler, False,
+    with scan_scheduling():
+        scan_stream, scan_result, scan_types = _capture_stream(
+            _spec_for(scenario, scheduler,
+                      n_nodes=n_nodes, scale=scale, seed=seed))
+    index_stream, index_result, index_types = _capture_stream(
+        _spec_for(scenario, scheduler,
                   n_nodes=n_nodes, scale=scale, seed=seed))
     assert scan_stream, f"{scenario}/{scheduler}: no assignments captured"
+    # A swap that missed would compare the index path with itself.
+    assert scan_types == {ScanPendingIndex}
+    assert index_types == {ClusterPendingIndex}
     assert scan_stream == index_stream, (
         f"{scenario}/{scheduler}: assignment streams diverge "
         f"(scan={len(scan_stream)} launches, index={len(index_stream)})")
@@ -73,7 +81,7 @@ def _assert_equivalent(scenario, scheduler, *, n_nodes, scale, seed):
 
 
 class TestScanIndexEquivalence:
-    """Old-scan vs. new-index assignment streams, per scheduler."""
+    """All-jobs scan vs. index assignment streams, per scheduler."""
 
     def test_baseline_matchmaking(self):
         _assert_equivalent("baseline", "matchmaking",

@@ -6,7 +6,7 @@ scheduling/placement/replication decision may depend on ``set`` iteration
 order, which varies with PYTHONHASHSEED for strings.  Decision-path
 collections are insertion-ordered dicts-as-sets; ``sorted(...)`` over a
 set is fine.  This lint enforces the rule mechanically for every module
-under ``src/repro/{sim,net,mapreduce,hdfs,storage}``.
+under ``src/repro/{sim,net,mapreduce,hdfs,storage,faults,grid,core}``.
 
 Flagged: ``for``-statement and comprehension iterables that are
 - set literals / set comprehensions / ``set()`` / ``frozenset()`` calls,
@@ -30,7 +30,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set, Tuple
 
-CHECKED_PACKAGES = ("sim", "net", "mapreduce", "hdfs", "storage", "faults")
+CHECKED_PACKAGES = ("sim", "net", "mapreduce", "hdfs", "storage", "faults",
+                    "grid", "core")
 WAIVER = "set-order-ok"
 
 #: Calls that pass their argument's iteration order through to a list.
