@@ -17,8 +17,8 @@ Each function isolates one mechanism the paper motivates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -190,20 +190,13 @@ def compare_schedulers(n_nodes: int = 40, seed: int = 12, scale: float = 0.25,
     The comparison of interest is map-launch *locality* (and, secondarily,
     response time): the alternatives trade a little waiting for a lot of
     locality when replication is low."""
-    from ..hdfs.config import hog_config as _hog_config
-    from ..mapreduce.delay_scheduler import DelayScheduler
-    from ..mapreduce.matchmaking import MatchmakingScheduler
-    from ..mapreduce.scheduler import FifoScheduler
-
-    factories = {"fifo": FifoScheduler, "delay": DelayScheduler,
-                 "matchmaking": MatchmakingScheduler}
     out: Dict[str, WorkloadResult] = {}
-    for name, factory in factories.items():
+    for name in ("fifo", "delay", "matchmaking"):
         settings = _base_settings(n_nodes, seed, policy or
                                   calibration.stable_policy(), scale)
         # Low replication makes locality a real contest (10x replication
         # makes every scheduler look perfect).
-        settings.hdfs = _hog_config(replication=2)
+        settings.hdfs = hog_config(replication=2)
         settings.mr = hog_mr_config(scheduler=name)
         out[name] = run_facebook_on_hog(settings)
     return out

@@ -20,14 +20,14 @@ measurement code lives there, once, shared with every registry scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..baselines.dedicated import DedicatedClusterConfig, DedicatedCluster, table3_config
 from ..core.config import NodeConfig
 from ..grid.glidein import WrapperConfig
-from ..grid.site import GridSiteConfig, SitePolicy, sites_with_policy
+from ..grid.site import SitePolicy
 from ..hdfs.config import HdfsConfig
 from ..mapreduce.config import MRConfig
 from ..metrics.report import WorkloadResult
@@ -39,14 +39,7 @@ from ..sim.engine import Simulator
 from ..workload.schedule import LoadgenParams, build_facebook_schedule
 
 __all__ = ["HogRunSettings", "run_facebook_on_hog", "run_facebook_on_cluster",
-           "paper_sites_with_policy", "settings_to_spec"]
-
-
-def paper_sites_with_policy(policy: SitePolicy, total_capacity: int,
-                            n_sites: int = 5) -> List[GridSiteConfig]:
-    """Five OSG-like sites sharing one policy, sized so the grid can hold
-    ``total_capacity`` workers with headroom for churn replacement."""
-    return sites_with_policy(policy, total_capacity, n_sites)
+           "settings_to_spec"]
 
 
 @dataclass

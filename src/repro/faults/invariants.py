@@ -225,7 +225,8 @@ class InvariantChecker:
     def _inv_heaps_bounded(self) -> List[str]:
         """Lazy heaps and namenode metadata stay linear in real state —
         generous slack, so only a genuine leak (e.g. a hot requeue loop
-        pushing every tick) trips it."""
+        pushing every tick) trips it.  The heartbeat heap has no slack:
+        it holds one entry per live datanode."""
         nn = self.system.namenode
         sim = self.sim
         blocks = len(nn._blocks)
@@ -235,7 +236,7 @@ class InvariantChecker:
             ("replication work heap", len(nn._repl_heap), 8 * blocks + 64),
             ("replication priority map", len(nn._repl_prio), blocks + 1),
             ("deferred heap", len(nn._deferred_heap), 8 * blocks + 64),
-            ("heartbeat heap", len(nn._hb_heap), 4 * nodes + 16),
+            ("heartbeat heap", len(nn.liveness._heap), len(nn.liveness.live)),
             ("invalidation backlog", nn.pending_invalidation_count(),
              8 * blocks + 64),
             ("event heap", len(sim._heap), 4096 + 100 * nodes + 16 * blocks),

@@ -5,7 +5,7 @@ from .block import Block, BlockInfo, FileInfo
 from .client import BlockUnavailableError, HdfsClient, ReadResult
 from .config import GB, MB, HdfsConfig, hog_config, stock_hadoop_config
 from .datanode import BlockReadError, Datanode
-from .namenode import DatanodeDescriptor, HdfsError, Namenode
+from .namenode import HdfsError, Namenode
 from .placement import LiveHostIndex, SiteAwarePolicy
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "MB",
     "GB",
     "Namenode",
-    "DatanodeDescriptor",
     "HdfsError",
     "Datanode",
     "BlockReadError",

@@ -150,7 +150,7 @@ class Datanode:
             self._next_report = self.sim.now + self.config.block_report_interval
         # Ask per beat: the period adapts to cluster size.
         sim = self.sim
-        sim.call_at(sim._now + self.namenode.heartbeat_interval(),
+        sim.call_at(sim._now + self.namenode.liveness.interval(),
                     self._hb_tick, epoch)
 
     def _dc_arm(self, epoch: int) -> None:

@@ -25,34 +25,18 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
 from ..sim.events import Interrupt
+from ..sim.liveness import Descriptor, LivenessTable
 from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
 from .config import HdfsConfig
 from .datanode import Datanode
 from .placement import LiveHostIndex, SiteAwarePolicy
 
-__all__ = ["Namenode", "DatanodeDescriptor", "HdfsError"]
+__all__ = ["Namenode", "HdfsError"]
 
 
 class HdfsError(Exception):
     """Namespace operation failed."""
-
-
-class DatanodeDescriptor:
-    """Namenode-side view of one datanode."""
-
-    __slots__ = ("datanode", "last_heartbeat", "alive")
-
-    def __init__(self, datanode: Datanode, now: float) -> None:
-        self.datanode = datanode
-        self.last_heartbeat = now
-        #: Namenode's belief — may lag reality by up to the timeout.
-        self.alive = True
-
-    @property
-    def host(self) -> str:
-        """Hostname of the tracked datanode."""
-        return self.datanode.host
 
 
 class Namenode:
@@ -70,7 +54,12 @@ class Namenode:
         self._files: Dict[str, FileInfo] = {}
         self._blocks: Dict[int, BlockInfo] = {}
         self._block_file: Dict[int, str] = {}
-        self._nodes: Dict[str, DatanodeDescriptor] = {}
+        #: Datanode heartbeats and the timeout verdicts (§III-B).
+        self.liveness = LivenessTable(self.config.heartbeat_interval,
+                                      self.config.heartbeats_per_second,
+                                      self.config.heartbeat_timeout)
+        #: host → descriptor (the liveness table's member map).
+        self._nodes: Dict[str, Descriptor] = self.liveness.members
         self._host_blocks: Dict[str, Dict[int, None]] = {}
         #: Under-replicated block ids — maintained *incrementally* on every
         #: replica add/remove (heartbeat re-registration, death, commit),
@@ -104,18 +93,10 @@ class Namenode:
         #: block report is reconciled).  Drained a bounded batch per
         #: heartbeat (``invalidate_work_per_heartbeat``).
         self._invalidate_queue: Dict[str, Dict[int, None]] = {}
-        #: Believed-alive hosts (insertion-ordered dict as a set): an O(live)
-        #: answer for live-host queries instead of an O(all datanodes) scan.
-        self._live_hosts: Dict[str, None] = {}
-        #: The same host set grouped per site, maintained event-driven —
+        #: The believed-alive hosts grouped per site, maintained event-driven —
         #: placement draws from these cached lists instead of regrouping
         #: the live list for every block (the 10k-node hot path).
         self._live_index = LiveHostIndex(topology)
-        #: (believed expiry time, host) heap for the heartbeat monitor —
-        #: entries are lazily revalidated against ``last_heartbeat`` on pop
-        #: and re-pushed, so each monitor tick costs O(expiring) instead of
-        #: O(all datanodes).
-        self._hb_heap: List[Tuple[float, str]] = []
         self._next_block_id = 0
         self.counters = CounterSet()
         #: Optional :class:`~repro.obs.trace.Tracer`; datanodes read it
@@ -135,43 +116,12 @@ class Namenode:
         self.sim.process(self._heartbeat_monitor(), name="nn-hb-monitor")
         self.sim.process(self._replication_monitor(), name="nn-repl-monitor")
 
-    def heartbeat_interval(self) -> float:
-        """Per-datanode heartbeat period: the configured floor, lengthened
-        as the cluster grows so the namenode's cluster-wide heartbeat
-        rate stays near ``config.heartbeats_per_second``."""
-        rate = self.config.heartbeats_per_second
-        base = self.config.heartbeat_interval
-        if rate <= 0:
-            return base
-        return max(base, len(self._live_hosts) / rate)
-
-    def heartbeat_timeout(self) -> float:
-        """Effective liveness timeout: the configured value, stretched to
-        several adaptive periods so scaled-up clusters do not flap
-        datanodes whose period exceeds the configured timeout."""
-        return max(self.config.heartbeat_timeout,
-                   4.0 * self.heartbeat_interval())
-
     def _heartbeat_monitor(self):
         try:
             while True:
                 yield self.sim.timeout(self.config.heartbeat_recheck_period)
-                now = self.sim.now
-                # Re-derive per tick: tracks the adaptive period.
-                timeout = self.heartbeat_timeout()
-                heap = self._hb_heap
-                while heap and heap[0][0] <= now:
-                    _, host = heapq.heappop(heap)
-                    desc = self._nodes.get(host)
-                    if desc is None or not desc.alive:
-                        continue  # stale entry (dead or replaced node)
-                    deadline = desc.last_heartbeat + timeout
-                    if deadline <= now:
-                        self._declare_dead(desc)
-                    else:
-                        # Heartbeats arrived since the entry was pushed:
-                        # re-aim at the refreshed deadline.
-                        heapq.heappush(heap, (deadline, host))
+                for desc in self.liveness.expire(self.sim.now):
+                    self._declare_dead(desc)
         except Interrupt:
             return
 
@@ -190,12 +140,9 @@ class Namenode:
         script and starts tracking heartbeats."""
         host = datanode.host
         self.topology.add_host(host)
-        self._nodes[host] = DatanodeDescriptor(datanode, self.sim.now)
+        self.liveness.register(datanode, self.sim.now)
         self._host_blocks.setdefault(host, {})
-        self._live_hosts[host] = None
         self._live_index.add(host)
-        heapq.heappush(self._hb_heap,
-                       (self.sim.now + self.heartbeat_timeout(), host))
         self.counters.incr("datanodes_registered")
         # A restarted node may still hold replicas from a previous life;
         # its registration report is authoritative for the host, so it is
@@ -210,16 +157,13 @@ class Namenode:
         """Periodic datanode report.  A heartbeat from a node previously
         declared dead re-registers it (Hadoop's re-registration path)."""
         desc = self._nodes.get(datanode.host)
-        if desc is None or desc.datanode is not datanode:
+        if desc is None or desc.member is not datanode:
             self.register_datanode(datanode)
             return
-        now = desc.last_heartbeat = self.sim._now
+        desc.last_heartbeat = self.sim._now
         if not desc.alive:
-            desc.alive = True
-            self._live_hosts[datanode.host] = None
+            self.liveness.revive(desc)
             self._live_index.add(datanode.host)
-            heapq.heappush(self._hb_heap,
-                           (now + self.heartbeat_timeout(), datanode.host))
             self.counters.incr("datanodes_reregistered")
             self.process_block_report(datanode.host, datanode.block_report(),
                                       reconcile=True)
@@ -227,13 +171,12 @@ class Namenode:
         if self._invalidate_queue:
             self._dispatch_invalidations(desc)
 
-    def _declare_dead(self, desc: DatanodeDescriptor) -> None:
-        """Heartbeat timeout fired: drop the node's replicas and queue
-        re-replication ("Data blocks stored on this node will be considered
-        lost and the Namenode will automatically replicate those blocks")."""
-        desc.alive = False
+    def _declare_dead(self, desc: Descriptor) -> None:
+        """Heartbeat timeout fired (the liveness table has already marked
+        the node dead): drop its replicas and queue re-replication ("Data
+        blocks stored on this node will be considered lost and the
+        Namenode will automatically replicate those blocks")."""
         host = desc.host
-        self._live_hosts.pop(host, None)
         self._live_index.discard(host)
         self.counters.incr("datanodes_declared_dead")
         # Pending delete commands are moot — if the node ever returns, its
@@ -403,7 +346,7 @@ class Namenode:
     def _queue_invalidation(self, host: str, block_id: int) -> None:
         self._invalidate_queue.setdefault(host, {})[block_id] = None
 
-    def _dispatch_invalidations(self, desc: DatanodeDescriptor) -> None:
+    def _dispatch_invalidations(self, desc: Descriptor) -> None:
         """Piggyback up to ``invalidate_work_per_heartbeat`` delete
         commands on a heartbeat response (Hadoop's bounded
         ``dfs.block.invalidate.limit`` drain)."""
@@ -414,7 +357,7 @@ class Namenode:
         batch = list(islice(queue, self.config.invalidate_work_per_heartbeat))
         for bid in batch:
             del queue[bid]
-            desc.datanode.remove_block(bid)
+            desc.member.remove_block(bid)
         self.counters.incr("replicas_trashed", len(batch))
         if not queue:
             del self._invalidate_queue[desc.host]
@@ -450,8 +393,8 @@ class Namenode:
                 site = max(by_site, key=lambda s: (len(by_site[s]), s))
                 victim = sorted(by_site[site])[0]
             desc = self._nodes.get(victim)
-            if desc is not None and desc.datanode.state == Datanode.RUNNING:
-                desc.datanode.remove_block(info.block.block_id)
+            if desc is not None and desc.member.state == Datanode.RUNNING:
+                desc.member.remove_block(info.block.block_id)
             info.replicas.pop(victim, None)
             self._host_blocks.get(victim, {}).pop(info.block.block_id, None)
             self.counters.incr("replicas_invalidated")
@@ -510,8 +453,8 @@ class Namenode:
                 # Tie-break by hostname so the choice never depends on
                 # replica-map iteration order.
                 src = min(sources, key=lambda h: (
-                    self._nodes[h].datanode.active_repl_streams, h))
-                if self._nodes[src].datanode.active_repl_streams >= self.config.max_replication_streams:
+                    self._nodes[h].member.active_repl_streams, h))
+                if self._nodes[src].member.active_repl_streams >= self.config.max_replication_streams:
                     capped = True  # per-source stream throttle hit
                     break
                 info.pending_targets[tgt] = None
@@ -535,8 +478,8 @@ class Namenode:
     def _replicate(self, info: BlockInfo, source: str, target: str):
         """Copy one replica source→target; bookkeeping on either outcome."""
         self.counters.incr("replications_started")
-        src_dn = self._nodes[source].datanode
-        tgt_dn = self._nodes[target].datanode
+        src_dn = self._nodes[source].member
+        tgt_dn = self._nodes[target].member
         src_dn.active_repl_streams += 1
         try:
             # One joint demand over source disk read + network path +
@@ -558,11 +501,11 @@ class Namenode:
     def _is_usable_source(self, host: str) -> bool:
         desc = self._nodes.get(host)
         return (desc is not None and desc.alive
-                and desc.datanode.state == Datanode.RUNNING)
+                and desc.member.state == Datanode.RUNNING)
 
     def _can_host_store(self, host: str, nbytes: float) -> bool:
         desc = self._nodes.get(host)
-        return desc is not None and desc.alive and desc.datanode.can_store(nbytes)
+        return desc is not None and desc.alive and desc.member.can_store(nbytes)
 
     def choose_write_targets(self, writer: Optional[str], size: float,
                              count: int, existing: Optional[Set[str]] = None) -> List[str]:
@@ -580,15 +523,15 @@ class Namenode:
         """Hosts the namenode currently *believes* are alive (includes
         zombies — that is the point of §IV-D1).  O(live), via the index
         maintained on register/heartbeat/death events."""
-        return list(self._live_hosts)
+        return list(self.liveness.live)
 
     def num_live_datanodes(self) -> int:
         """Count of believed-alive datanodes (O(1))."""
-        return len(self._live_hosts)
+        return len(self.liveness.live)
 
     def datanode(self, host: str) -> Datanode:
         """The datanode object registered at ``host``."""
-        return self._nodes[host].datanode
+        return self._nodes[host].member
 
     def locate(self, block_id: int) -> List[str]:
         """Believed replica locations of a block (alive descriptors only)."""
@@ -680,8 +623,8 @@ class Namenode:
                 continue
             for host in list(info.replicas):
                 desc = self._nodes.get(host)
-                if desc is not None and desc.datanode.state == Datanode.RUNNING:
-                    desc.datanode.remove_block(block.block_id)
+                if desc is not None and desc.member.state == Datanode.RUNNING:
+                    desc.member.remove_block(block.block_id)
                 self._host_blocks.get(host, {}).pop(block.block_id, None)
 
     def __repr__(self) -> str:

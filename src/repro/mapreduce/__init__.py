@@ -13,7 +13,7 @@ from .job import (
     TaskType,
 )
 from .delay_scheduler import DelayScheduler
-from .jobtracker import JobTracker, TrackerDescriptor
+from .jobtracker import JobTracker
 from .matchmaking import MatchmakingScheduler
 from .scheduler import FifoScheduler
 from .tasktracker import TaskExecutionError, TaskTracker
@@ -31,7 +31,6 @@ __all__ = [
     "TaskType",
     "MapOutput",
     "JobTracker",
-    "TrackerDescriptor",
     "FifoScheduler",
     "DelayScheduler",
     "MatchmakingScheduler",

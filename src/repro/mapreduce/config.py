@@ -16,7 +16,11 @@ __all__ = ["MRConfig", "stock_mr_config", "hog_mr_config"]
 
 @dataclass
 class MRConfig:
-    """Tunable parameters of the simulated MapReduce 1.0 framework."""
+    """Tunable parameters of the simulated MapReduce 1.0 framework.
+
+    Not a knob: the jobtracker answers each tasktracker heartbeat with at
+    most one map and one reduce, as Hadoop 0.20 does.
+    """
 
     #: Tasktracker heartbeat period, seconds (the floor — see
     #: ``heartbeats_per_second``).
@@ -29,7 +33,9 @@ class MRConfig:
     #: heartbeat_interval`` nodes.  ``0`` disables the scaling.
     heartbeats_per_second: float = 100.0
     #: Seconds without a heartbeat before the jobtracker declares a
-    #: tasktracker lost (stock ~10 min; HOG 30 s, §III-B).
+    #: tasktracker lost (stock ~10 min; HOG 30 s, §III-B).  Strict: lost
+    #: iff ``last_heartbeat + expiry < now``, the namenode's rule too
+    #: (:class:`~repro.sim.liveness.LivenessTable`).
     tracker_expiry: float = 600.0
     #: Period of the jobtracker's expiry scan.
     expiry_check_period: float = 5.0
@@ -55,11 +61,6 @@ class MRConfig:
     #: Concurrent shuffle fetch streams per reduce attempt
     #: (``mapred.reduce.parallel.copies``).
     parallel_shuffle_copies: int = 5
-    #: Map tasks handed to one tasktracker per heartbeat (Hadoop 0.20
-    #: assigns one map and one reduce per heartbeat).
-    maps_per_heartbeat: int = 1
-    #: Reduce tasks handed to one tasktracker per heartbeat.
-    reduces_per_heartbeat: int = 1
     #: Merge/sort processing rate during the reduce sort phase, bytes/s.
     sort_rate: float = 120e6
     #: Replication factor for job output files (``None`` = filesystem
@@ -79,8 +80,6 @@ class MRConfig:
             raise ValueError("heartbeats_per_second cannot be negative")
         if self.expiry_check_period <= 0:
             raise ValueError("expiry_check_period must be positive")
-        if self.maps_per_heartbeat < 1 or self.reduces_per_heartbeat < 1:
-            raise ValueError("maps/reduces_per_heartbeat must be >= 1")
         if self.max_task_copies < 1:
             raise ValueError("max_task_copies must be >= 1")
         if self.max_attempts < 1:

@@ -59,13 +59,11 @@ class DelayScheduler(FifoScheduler):
         # algorithm's skip-count reset.
         self._wait_start[job.job_id] = self.jobtracker.sim.now
 
-    def _try_map(self, job: Job, tracker, chosen_tasks):
+    def _try_map(self, job: Job, tracker):
         if tracker.host in job.blacklist:
             return None
         if job.pending_map_tasks:
-            task, locality = self._most_local(job, tracker, chosen_tasks)
-            if task is None:
-                return None
+            task, locality = self._most_local(job, tracker)
             allowed = self._allowed_locality(job)
             if locality == "data_local" or allowed == "remote" or \
                     (locality == "site_local" and allowed == "site_local"):
@@ -75,8 +73,7 @@ class DelayScheduler(FifoScheduler):
             return None
         cand: Optional[Task] = None
         if self.config.speculative_execution:
-            cand = self._probe_speculation(job, TaskType.MAP, tracker,
-                                           chosen_tasks)
+            cand = self._probe_speculation(job, TaskType.MAP, tracker)
         if cand is not None:
             return cand, True, self._locality_of(job, cand, tracker)
         return None

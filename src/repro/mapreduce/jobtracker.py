@@ -19,14 +19,14 @@ Grid failure handling implemented here:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..hdfs.block import Block
 from ..hdfs.namenode import Namenode
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
 from ..sim.events import Event, Interrupt
+from ..sim.liveness import Descriptor, LivenessTable
 from ..sim.monitor import CounterSet
 from .config import MRConfig
 from .job import (
@@ -41,23 +41,7 @@ from .job import (
 )
 from .tasktracker import TaskTracker
 
-__all__ = ["JobTracker", "TrackerDescriptor"]
-
-
-class TrackerDescriptor:
-    """Jobtracker-side view of one tasktracker."""
-
-    __slots__ = ("tracker", "last_heartbeat", "alive")
-
-    def __init__(self, tracker: TaskTracker, now: float) -> None:
-        self.tracker = tracker
-        self.last_heartbeat = now
-        self.alive = True
-
-    @property
-    def host(self) -> str:
-        """Hostname of the tracked tasktracker."""
-        return self.tracker.host
+__all__ = ["JobTracker"]
 
 
 class JobTracker:
@@ -89,12 +73,12 @@ class JobTracker:
         self.heartbeats = 0
         self.heartbeat_rounds = 0
         self._round_key: Optional[tuple] = None
-        self._trackers: Dict[str, TrackerDescriptor] = {}
-        #: Lazy (deadline, host) min-heap for tracker expiry: entries are
-        #: pushed on (re-)registration, never per heartbeat, and deadlines
-        #: are recomputed from ``last_heartbeat`` on pop — the monitor's
-        #: tick is O(expired) instead of O(trackers).
-        self._expiry_heap: List[Tuple[float, str]] = []
+        #: Tasktracker heartbeats and the expiry verdicts (§III-B).
+        self.liveness = LivenessTable(self.config.heartbeat_interval,
+                                      self.config.heartbeats_per_second,
+                                      self.config.tracker_expiry)
+        #: host → descriptor (the liveness table's member map).
+        self._trackers: Dict[str, Descriptor] = self.liveness.members
         #: Set when a live tracker is replaced in place (its running
         #: attempts are orphaned with no failure report); gates the
         #: monitor's requeue safety-net scan so steady-state ticks skip it.
@@ -117,7 +101,6 @@ class JobTracker:
         #: "believed" node count of Figure 5 — recorded change-driven
         #: instead of being polled on a 5 s grid).
         self.tracker_count_listeners: List[Callable[[int], None]] = []
-        self._live_trackers = 0
         #: Cached active-job list; invalidated on submit and job finish.
         #: The scheduler asks for it on every heartbeat.
         self._active_jobs_cache: Optional[List[Job]] = None
@@ -142,46 +125,12 @@ class JobTracker:
         self._monitor_started = True
         self.sim.process(self._expiry_monitor(), name="jt-expiry-monitor")
 
-    def heartbeat_interval(self) -> float:
-        """Per-tracker heartbeat period: the configured floor, lengthened
-        as the cluster grows so the jobtracker's cluster-wide heartbeat
-        rate stays near ``config.heartbeats_per_second`` (stock Hadoop
-        1.x behaviour).  Small clusters always get the floor."""
-        rate = self.config.heartbeats_per_second
-        base = self.config.heartbeat_interval
-        if rate <= 0:
-            return base
-        return max(base, self._live_trackers / rate)
-
-    def tracker_expiry(self) -> float:
-        """Effective no-heartbeat expiry: the configured value, stretched
-        to several adaptive periods so scaled-up clusters do not flap
-        trackers whose period exceeds the configured expiry."""
-        return max(self.config.tracker_expiry, 4.0 * self.heartbeat_interval())
-
     def _expiry_monitor(self):
-        heap = self._expiry_heap
         try:
             while True:
                 yield self.sim.timeout(self.config.expiry_check_period)
-                now = self.sim.now
-                # Re-derive per tick: the effective expiry tracks the
-                # adaptive heartbeat period as the cluster grows/shrinks.
-                expiry = self.tracker_expiry()
-                cutoff = now - expiry
-                # Lazy heap: an entry's deadline is a *lower bound* on the
-                # tracker's true deadline (heartbeats only push it later),
-                # so anything with heap deadline >= now is provably alive
-                # and the tick costs O(actually-expired).
-                while heap and heap[0][0] < now:
-                    _, host = heappop(heap)
-                    desc = self._trackers.get(host)
-                    if desc is None or not desc.alive:
-                        continue  # lost/replaced; revival pushes anew
-                    if desc.last_heartbeat < cutoff:
-                        self._lost_tracker(desc)
-                    else:
-                        heappush(heap, (desc.last_heartbeat + expiry, host))
+                for desc in self.liveness.expire(self.sim.now):
+                    self._lost_tracker(desc)
                 # Safety net: a task whose every attempt died without a
                 # failure report (a live tracker replaced in place) must
                 # return to the pending queue.  Only that replacement path
@@ -197,23 +146,19 @@ class JobTracker:
             return
 
     # -- tracker protocol ------------------------------------------------------------
-    def _live_count_changed(self, delta: int) -> None:
-        self._live_trackers += delta
+    def _tracker_count_changed(self) -> None:
+        live = self.live_tracker_count()
         for cb in self.tracker_count_listeners:
-            cb(self._live_trackers)
+            cb(live)
 
     def register_tracker(self, tracker: TaskTracker) -> None:
         """First contact from a tasktracker; resolves its site."""
         self.topology.add_host(tracker.host)
-        old = self._trackers.get(tracker.host)
-        self._trackers[tracker.host] = TrackerDescriptor(tracker, self.sim.now)
+        old = self.liveness.register(tracker, self.sim.now)
         self.counters.incr("trackers_registered")
         if old is None or not old.alive:
-            # Dead/unknown hosts have no live heap entry; give them one.
-            heappush(self._expiry_heap,
-                     (self.sim.now + self.tracker_expiry(), tracker.host))
-            self._live_count_changed(+1)
-        elif old.tracker is not tracker:
+            self._tracker_count_changed()
+        elif old.member is not tracker:
             # A live tracker replaced in place: its running attempts die
             # without any failure report.  Flag the monitor's safety net.
             self._needs_orphan_scan = True
@@ -222,16 +167,14 @@ class JobTracker:
         """Tracker status report; schedules tasks onto its free slots."""
         now = self.sim._now
         desc = self._trackers.get(tracker.host)
-        if desc is None or desc.tracker is not tracker:
+        if desc is None or desc.member is not tracker:
             self.register_tracker(tracker)
             desc = self._trackers[tracker.host]
         desc.last_heartbeat = now
         if not desc.alive:
-            desc.alive = True
+            self.liveness.revive(desc)
             self.counters.incr("trackers_reregistered")
-            heappush(self._expiry_heap,
-                     (now + self.tracker_expiry(), tracker.host))
-            self._live_count_changed(+1)
+            self._tracker_count_changed()
         self.heartbeats += 1
         round_key = (now, self.jobs_version)
         if round_key != self._round_key:
@@ -244,14 +187,14 @@ class JobTracker:
             if tr is not None:
                 tr.instant("control", "heartbeat-round", now,
                            "jobtracker", args={"round": self.heartbeat_rounds,
-                                               "trackers": self._live_trackers})
+                                               "trackers": self.live_tracker_count()})
         for task, speculative, locality in self.scheduler.assign(tracker):
             self._launch(task, tracker, speculative, locality)
 
-    def _lost_tracker(self, desc: TrackerDescriptor) -> None:
-        """Heartbeat expiry: recover the lost node's work."""
-        desc.alive = False
-        self._live_count_changed(-1)
+    def _lost_tracker(self, desc: Descriptor) -> None:
+        """Heartbeat expiry (the liveness table has already marked the
+        tracker lost): recover the node's work."""
+        self._tracker_count_changed()
         host = desc.host
         self.counters.incr("trackers_lost")
         # 1. Re-queue attempts that were running there.  Attempts may
@@ -292,11 +235,11 @@ class JobTracker:
 
     def live_tracker_count(self) -> int:
         """Trackers the jobtracker currently believes alive (O(1))."""
-        return self._live_trackers
+        return len(self.liveness.live)
 
     def tracker(self, host: str) -> TaskTracker:
         """The tracker object registered at ``host``."""
-        return self._trackers[host].tracker
+        return self._trackers[host].member
 
     # -- job lifecycle ----------------------------------------------------------------
     def submit_job(self, spec: JobSpec) -> Job:
@@ -490,7 +433,7 @@ class JobTracker:
         desc = self._trackers.get(host)
         key = (job.job_id, map_index)
         self._fetch_failures[key] = self._fetch_failures.get(key, 0) + 1
-        host_gone = desc is None or not desc.alive or not desc.tracker.is_alive
+        host_gone = desc is None or not desc.alive or not desc.member.is_alive
         if host_gone or self._fetch_failures[key] >= 3:
             self._fetch_failures[key] = 0
             output = job.map_outputs.get(map_index)
@@ -532,8 +475,8 @@ class JobTracker:
         "Hadoop will not delete map intermediate data until the entire job
         is done" (§IV-D2)."""
         for desc in self._trackers.values():
-            if desc.tracker.is_alive:
-                desc.tracker.cleanup_job(job)
+            if desc.member.is_alive:
+                desc.member.cleanup_job(job)
         # Iterate a copy: when_jobs_done listeners remove themselves on
         # their final job, which would otherwise skip the next listener.
         for listener in list(self.job_done_listeners):

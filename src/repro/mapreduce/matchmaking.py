@@ -47,13 +47,12 @@ class MatchmakingScheduler(FifoScheduler):
 
     def _idle_heartbeat(self, tracker, free_maps: int) -> None:
         # The skipped map pick would have refused the node: mark it.
-        if min(free_maps, self.config.maps_per_heartbeat) > 0:
+        if free_maps > 0:
             self._maybe_reset_markers()
             self._marker[tracker.host] = True
 
-    def _pick_map(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
+    def _pick_map(self, tracker) -> Optional[Tuple[Task, bool, str]]:
         self._maybe_reset_markers()
-        chosen_tasks = {t for t, _, _ in already}
         host = tracker.host
 
         # Pass 1: any job with a node-local pending map for this tracker.
@@ -61,12 +60,9 @@ class MatchmakingScheduler(FifoScheduler):
             if host in job.blacklist:
                 continue
             tasks = self.index.locality(job).host_maps.get(host)
-            if not tasks:
-                continue
-            for task in tasks:
-                if task not in chosen_tasks:
-                    self._marker.pop(host, None)
-                    return task, False, "data_local"
+            if tasks:
+                self._marker.pop(host, None)
+                return next(iter(tasks)), False, "data_local"
 
         # Pass 2: site-local, same shape.
         site = self.jobtracker.topology.site_of(host)
@@ -74,12 +70,9 @@ class MatchmakingScheduler(FifoScheduler):
             if host in job.blacklist:
                 continue
             tasks = self.index.locality(job).site_maps.get(site)
-            if not tasks:
-                continue
-            for task in tasks:
-                if task not in chosen_tasks:
-                    self._marker.pop(host, None)
-                    return task, False, "site_local"
+            if tasks:
+                self._marker.pop(host, None)
+                return next(iter(tasks)), False, "site_local"
 
         # Pass 3: non-local — only for a node already marked (it waited
         # one round), and only from the head-of-queue job (FIFO fairness).
@@ -88,13 +81,11 @@ class MatchmakingScheduler(FifoScheduler):
             for job in self.index.map_candidates(speculative):
                 if host in job.blacklist:
                     continue
-                for task in job.pending_map_tasks:
-                    if task not in chosen_tasks:
-                        self._marker.pop(host, None)
-                        return task, False, "remote"
+                if job.pending_map_tasks:
+                    self._marker.pop(host, None)
+                    return next(iter(job.pending_map_tasks)), False, "remote"
                 if speculative:
-                    cand = self._probe_speculation(
-                        job, TaskType.MAP, tracker, chosen_tasks)
+                    cand = self._probe_speculation(job, TaskType.MAP, tracker)
                     if cand is not None:
                         return cand, True, self._locality_of(job, cand, tracker)
             return None

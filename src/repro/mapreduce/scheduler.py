@@ -10,6 +10,10 @@ that have the input data.  If it is unable to find a data local node, it
 will attempt to schedule the Map task in the same site as the input data."
 (§III-B2) — the locality ladder implemented by :meth:`FifoScheduler._try_map`.
 
+Like Hadoop 0.20, a heartbeat is answered with at most one map and one
+reduce: each picker runs once, so no pick has to skip a task chosen
+earlier in the same beat.
+
 Scheduling is *index-driven*: the cluster-wide
 :class:`~repro.mapreduce.pending_index.ClusterPendingIndex` is updated on
 task-state events, and a heartbeat walks only the jobs that can actually
@@ -80,31 +84,26 @@ class FifoScheduler:
             self._idle_heartbeat(tracker, free_maps)
             return out
 
-        for _ in range(min(free_maps, self.config.maps_per_heartbeat)):
-            pick = self._pick_map(tracker, already=out)
-            if pick is None:
-                break
-            out.append(pick)
-
-        for _ in range(min(free_reduces, self.config.reduces_per_heartbeat)):
-            pick = self._pick_reduce(tracker, already=out)
-            if pick is None:
-                break
-            out.append(pick)
+        if free_maps > 0:
+            pick = self._pick_map(tracker)
+            if pick is not None:
+                out.append(pick)
+        if free_reduces > 0:
+            pick = self._pick_reduce(tracker)
+            if pick is not None:
+                out.append(pick)
         return out
 
     # -- map selection -------------------------------------------------------
-    def _pick_map(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
-        chosen_tasks = {t for t, _, _ in already}
+    def _pick_map(self, tracker) -> Optional[Tuple[Task, bool, str]]:
         speculative = self.config.speculative_execution
         for job in self.index.map_candidates(speculative):
-            pick = self._try_map(job, tracker, chosen_tasks)
+            pick = self._try_map(job, tracker)
             if pick is not None:
                 return pick
         return None
 
-    def _try_map(self, job: Job, tracker,
-                 chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
+    def _try_map(self, job: Job, tracker) -> Optional[Tuple[Task, bool, str]]:
         """The per-job map decision body.
 
         Must be side-effect-free and ``None`` for any job with neither a
@@ -113,38 +112,29 @@ class FifoScheduler:
         if tracker.host in job.blacklist:
             return None
         if job.pending_map_tasks:
-            task, locality = self._most_local(job, tracker, chosen_tasks)
-            if task is not None:
-                return task, False, locality
+            task, locality = self._most_local(job, tracker)
+            return task, False, locality
         if self.config.speculative_execution:
-            cand = self._probe_speculation(job, TaskType.MAP, tracker,
-                                           chosen_tasks)
+            cand = self._probe_speculation(job, TaskType.MAP, tracker)
             if cand is not None:
                 return cand, True, self._locality_of(job, cand, tracker)
         return None
 
-    def _most_local(self, job: Job, tracker,
-                    chosen_tasks) -> Tuple[Optional[Task], str]:
+    def _most_local(self, job: Job, tracker) -> Tuple[Task, str]:
         """Locality ladder: node-local block → site-local block → any.
 
-        The per-host/per-site lists hold exactly the PENDING tasks (the
-        cluster index maintains them on transitions), so the ladder is a
-        first-not-chosen lookup — no status checks, no pruning."""
+        Called only for a job with a pending map.  The per-host/per-site
+        lists hold exactly the PENDING tasks (the cluster index maintains
+        them on transitions), so each rung is a first-entry lookup — no
+        status checks, no pruning."""
         idx = self.index.locality(job)
         tasks = idx.host_maps.get(tracker.host)
         if tasks:
-            for t in tasks:
-                if t not in chosen_tasks:
-                    return t, "data_local"
+            return next(iter(tasks)), "data_local"
         tasks = idx.site_maps.get(self.jobtracker.topology.site_of(tracker.host))
         if tasks:
-            for t in tasks:
-                if t not in chosen_tasks:
-                    return t, "site_local"
-        for t in job.pending_map_tasks:
-            if t not in chosen_tasks:
-                return t, "remote"
-        return None, "remote"
+            return next(iter(tasks)), "site_local"
+        return next(iter(job.pending_map_tasks)), "remote"
 
     def _locality_of(self, job: Job, task: Task, tracker) -> str:
         # Answer from the build-time location snapshot, NOT the pending
@@ -160,40 +150,32 @@ class FifoScheduler:
         return "remote"
 
     # -- reduce selection ----------------------------------------------------
-    def _pick_reduce(self, tracker, already) -> Optional[Tuple[Task, bool, str]]:
-        chosen_tasks = {t for t, _, _ in already}
+    def _pick_reduce(self, tracker) -> Optional[Tuple[Task, bool, str]]:
         speculative = self.config.speculative_execution
         for job in self.index.reduce_candidates(speculative):
-            pick = self._try_reduce(job, tracker, chosen_tasks)
+            pick = self._try_reduce(job, tracker)
             if pick is not None:
                 return pick
         return None
 
-    def _try_reduce(self, job: Job, tracker,
-                    chosen_tasks) -> Optional[Tuple[Task, bool, str]]:
+    def _try_reduce(self, job: Job, tracker) -> Optional[Tuple[Task, bool, str]]:
         """Per-job reduce decision body."""
         if tracker.host in job.blacklist:
             return None
         if not job.reduces_schedulable(self.config.reduce_slowstart):
             return None
         if job.pending_reduce_tasks:
-            best = None
-            for t in job.pending_reduce_tasks:
-                if t not in chosen_tasks and (best is None
-                                              or t.index < best.index):
-                    best = t
-            if best is not None:
-                return best, False, "n/a"
+            best = min(job.pending_reduce_tasks, key=lambda t: t.index)
+            return best, False, "n/a"
         if self.config.speculative_execution:
-            cand = self._probe_speculation(job, TaskType.REDUCE, tracker,
-                                           chosen_tasks)
+            cand = self._probe_speculation(job, TaskType.REDUCE, tracker)
             if cand is not None:
                 return cand, True, "n/a"
         return None
 
     # -- speculation -----------------------------------------------------------
-    def _probe_speculation(self, job: Job, task_type: str, tracker,
-                           chosen_tasks) -> Optional[Task]:
+    def _probe_speculation(self, job: Job, task_type: str,
+                           tracker) -> Optional[Task]:
         """Probe + arming maintenance: an empty-handed probe that pushed
         the job's gate into the future snoozes it in the cluster index, so
         the picks stop visiting it until the gate passes (or a completion
@@ -214,16 +196,15 @@ class FifoScheduler:
             # the job each heartbeat while its first wave runs.
             self.index.spec[task_type].snooze(job, float("inf"))
             return None
-        cand = self._speculation_candidate(job, task_type, tracker,
-                                           chosen_tasks)
+        cand = self._speculation_candidate(job, task_type, tracker)
         if cand is None:
             gate = job.spec_gate[task_type]
             if gate > self.jobtracker.sim.now:
                 self.index.spec[task_type].snooze(job, gate)
         return cand
 
-    def _speculation_candidate(self, job: Job, task_type: str, tracker,
-                               chosen_tasks) -> Optional[Task]:
+    def _speculation_candidate(self, job: Job, task_type: str,
+                               tracker) -> Optional[Task]:
         """A running task whose attempt is 1/3 slower than the job average,
         eligible for one more copy, and not already running on this node."""
         now = self.jobtracker.sim.now
@@ -254,8 +235,6 @@ class FifoScheduler:
         best: Optional[Task] = None
         best_elapsed = threshold
         for task in running_set:
-            if task in chosen_tasks:
-                continue
             running = task.running_attempts
             if not running or len(running) >= self.config.max_task_copies:
                 continue

@@ -167,7 +167,7 @@ class TaskTracker:
         self.jobtracker.heartbeat(self)
         # Ask per beat: the period adapts to cluster size.
         sim = self.sim
-        sim.call_at(sim._now + self.jobtracker.heartbeat_interval(),
+        sim.call_at(sim._now + self.jobtracker.liveness.interval(),
                     self._hb_tick, epoch)
 
     # -- attempt execution -------------------------------------------------------------

@@ -100,10 +100,6 @@ class NetworkTopology:
         """Site of a registered host (registers it if unknown)."""
         return self._site_of.get(hostname) or self.add_host(hostname)
 
-    def knows(self, hostname: str) -> bool:
-        """True if the host has been registered."""
-        return hostname in self._site_of
-
     def same_site(self, a: str, b: str) -> bool:
         """True if two hosts share a site (the locality test used by both
         block placement and map-task scheduling).  Memoised per pair."""

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.grid.site import sites_with_policy
 from repro.scenarios import calibration
 from repro.experiments.common import (
     HogRunSettings,
-    paper_sites_with_policy,
     run_facebook_on_cluster,
     run_facebook_on_hog,
 )
@@ -32,12 +32,12 @@ class TestCalibration:
 
 class TestSitesHelper:
     def test_five_sites_with_headroom(self):
-        sites = paper_sites_with_policy(calibration.stable_policy(), 100)
+        sites = sites_with_policy(calibration.stable_policy(), 100)
         assert len(sites) == 5
         assert sum(s.capacity for s in sites) >= 130  # 30% headroom
 
     def test_distinct_domains(self):
-        sites = paper_sites_with_policy(calibration.stable_policy(), 10)
+        sites = sites_with_policy(calibration.stable_policy(), 10)
         assert len({s.domain for s in sites}) == 5
 
 

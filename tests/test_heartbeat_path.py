@@ -83,7 +83,7 @@ class TestSharedHeartbeatEntry:
 
     def test_probe_and_invariant_ticks_stay_dedicated(self):
         sim, hog = _small_hog()
-        interval = hog.jobtracker.heartbeat_interval()
+        interval = hog.jobtracker.liveness.interval()
         probes = ProbeSet(sim, {"zero": lambda: 0.0}, interval)
         checker = InvariantChecker(sim, hog, interval=interval)
         probes.start()

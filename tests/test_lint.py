@@ -8,7 +8,8 @@ Two invariants are enforced on every decision-path module:
 - **No wall-clock reads** (ISSUE 8): simulated components take time from
   ``sim.now`` only; ``time.time()``/``perf_counter()``/``datetime.now()``
   must never leak into ``sim/``, ``net/``, ``mapreduce/``, ``hdfs/``,
-  ``grid/``, or ``storage/``.  Waiver: ``# wallclock-ok``.
+  ``grid/``, ``storage/``, ``faults/``, ``core/``, or ``baselines/``.
+  Waiver: ``# wallclock-ok``.
 """
 
 import sys

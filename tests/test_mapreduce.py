@@ -41,8 +41,6 @@ class TestConfig:
         ("speculation_slowness_factor", 0.5), ("sort_rate", 0),
         # The expiry monitor loops on ``timeout(period)``: 0 spins.
         ("expiry_check_period", 0.0),
-        # Below 1 no task is ever assigned.
-        ("maps_per_heartbeat", 0), ("reduces_per_heartbeat", 0),
     ])
     def test_invalid_configs_rejected(self, field, value):
         cfg = MRConfig()

@@ -68,7 +68,7 @@ class TestNetworkTopology:
         site = topo.add_host("n1.unl.edu")
         assert site == "unl.edu"
         assert topo.site_of("n1.unl.edu") == "unl.edu"
-        assert topo.knows("n1.unl.edu")
+        assert topo._site_of == {"n1.unl.edu": "unl.edu"}
 
     def test_resolver_invoked_once_per_host(self):
         # The topology script "is executed each time a new node is
@@ -83,7 +83,7 @@ class TestNetworkTopology:
     def test_lazy_registration_via_site_of(self):
         topo = NetworkTopology()
         assert topo.site_of("n9.mit.edu") == "mit.edu"
-        assert topo.knows("n9.mit.edu")
+        assert "n9.mit.edu" in topo._site_of
 
     def test_same_site(self):
         topo = NetworkTopology()
@@ -96,7 +96,7 @@ class TestNetworkTopology:
             topo.add_host(h)
         assert topo.sites() == ["fnal.gov", "ucsd.edu"]
         assert topo.site_of("b.fnal.gov") == "fnal.gov"
-        assert not topo.knows("d.fnal.gov")
+        assert "d.fnal.gov" not in topo._site_of
 
     def test_hadoop_style_distance(self):
         topo = NetworkTopology()

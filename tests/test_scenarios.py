@@ -123,14 +123,11 @@ class TestSpecRoundTrip:
         ("hdfs", "heartbeat_recheck_period", 0.0),
         ("hdfs", "replication_monitor_period", 0.0),
         ("mr", "expiry_check_period", 0.0),
-        ("mr", "maps_per_heartbeat", 0),
-        ("mr", "reduces_per_heartbeat", 0),
     ])
     def test_validation_rejects_bad_daemon_configs(self, section, field,
                                                    value):
         """A spec JSON can carry whole HDFS/MapReduce configs; one that
-        would hang a monitor or never assign a task is rejected before
-        anything is built."""
+        would hang a monitor is rejected before anything is built."""
         d = registry.build("baseline", seed=1, **SMOKE).to_dict()
         d["cluster"][section] = {field: value}
         spec = ScenarioSpec.from_json(json.dumps(d))

@@ -2,8 +2,9 @@
 """AST lint: forbid wall-clock reads in the decision-path modules.
 
 The observability contract (ISSUE 8) extends the determinism rule: no
-module under ``src/repro/{sim,net,mapreduce,hdfs,grid,storage}`` may read
-the host's wall clock.  Simulated components must take time from
+module under
+``src/repro/{sim,net,mapreduce,hdfs,grid,storage,faults,core,baselines}``
+may read the host's wall clock.  Simulated components must take time from
 ``sim.now`` only — a stray ``time.time()`` or ``perf_counter()`` in a
 decision path silently couples outcomes to host speed and breaks the
 byte-identical determinism guard.  Wall-clock measurement belongs in the
@@ -33,7 +34,8 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
-CHECKED_PACKAGES = ("sim", "net", "mapreduce", "hdfs", "grid", "storage", "faults")
+CHECKED_PACKAGES = ("sim", "net", "mapreduce", "hdfs", "grid", "storage", "faults",
+                    "core", "baselines")
 WAIVER = "wallclock-ok"
 
 #: ``time`` module functions that read the host clock.
