@@ -32,7 +32,10 @@ from ..sim.monitor import StepSeries
 from ..storage.disk import Disk
 from .config import HOGConfig
 
-__all__ = ["WorkerNode", "HOGSystem"]
+__all__ = ["WorkerNode", "HOGSystem", "PARK_KEYS"]
+
+#: The registry's obs-only ``control`` keys (:meth:`HOGSystem.park_stats`).
+PARK_KEYS = ("parked_beats", "park_wakes", "park_ties")
 
 
 class WorkerNode:
@@ -184,6 +187,8 @@ class HOGSystem:
             "region_expansions", "pass_size_hist"))
         reg.bind_attrs("channel", self.fabric, ("peak_flows",))
         reg.bind_snapshot("control", self.control_plane_stats)
+        # Obs-only: ScenarioResult.payload() drops these keys.
+        reg.bind_snapshot("control", self.park_stats)
         reg.bind_counterset("grid", self.factory.counters, prefix="glideins")
         reg.bind_counterset("grid", self.factory.counters, prefix="preemption")
         # The full namenode bag: recovery health (blocks_all_replicas_lost,
@@ -344,6 +349,7 @@ class HOGSystem:
         jt = self.jobtracker
         nn = self.namenode
         index = getattr(jt.scheduler, "index", None)
+        self.resolve_heartbeats()
         return {
             "heartbeats": jt.heartbeats,
             "heartbeat_rounds": jt.heartbeat_rounds,
@@ -352,6 +358,23 @@ class HOGSystem:
             "nn_block_report_blocks": nn.counters.get("block_report_blocks"),
             "nn_replications_started": nn.counters.get("replications_started"),
         }
+
+    def resolve_heartbeats(self) -> None:
+        """Replay every parked daemon's skipped beats up to now, so the
+        heartbeat counters are exact (:mod:`repro.sim.liveness`)."""
+        now = self.sim.now
+        self.jobtracker.liveness.resolve_all(now)
+        self.namenode.liveness.resolve_all(now)
+
+    def park_stats(self) -> Dict[str, int]:
+        """Heartbeat parking, both masters: beats replayed instead of
+        dispatched, parked daemons woken, ambiguous ties (must be 0).
+        Obs-only — kept out of the result payload."""
+        self.resolve_heartbeats()
+        tables = (self.jobtracker.liveness, self.namenode.liveness)
+        return {"parked_beats": sum(t.replayed for t in tables),
+                "park_wakes": sum(t.wakes for t in tables),
+                "park_ties": sum(t.ties for t in tables)}
 
     def preempt_host(self, host: str, zombie: bool = False) -> None:
         """Force a site preemption of the glidein running at ``host``.

@@ -92,6 +92,7 @@ class InvariantChecker:
         self.register("lost_set_terminal", self._inv_lost_set)
         self.register("repair_progress", self._inv_repair_progress)
         self.register("heaps_bounded", self._inv_heaps_bounded)
+        self.register("parked_daemons", self._inv_parked_daemons)
         self.register("no_orphan_attempts", self._inv_no_orphans)
         self.register("tracer_accounting", self._inv_tracer)
         self.register("channel_max_min", self._inv_channel_max_min)
@@ -225,9 +226,10 @@ class InvariantChecker:
     def _inv_heaps_bounded(self) -> List[str]:
         """Lazy heaps and namenode metadata stay linear in real state —
         generous slack, so only a genuine leak (e.g. a hot requeue loop
-        pushing every tick) trips it.  The heartbeat heap has no slack:
-        it holds one entry per live datanode."""
+        pushing every tick) trips it.  The heartbeat heaps have no slack:
+        each holds one entry per live datanode / tasktracker."""
         nn = self.system.namenode
+        jt = self.system.jobtracker
         sim = self.sim
         blocks = len(nn._blocks)
         nodes = len(nn._nodes)
@@ -237,6 +239,8 @@ class InvariantChecker:
             ("replication priority map", len(nn._repl_prio), blocks + 1),
             ("deferred heap", len(nn._deferred_heap), 8 * blocks + 64),
             ("heartbeat heap", len(nn.liveness._heap), len(nn.liveness.live)),
+            ("tracker heartbeat heap", len(jt.liveness._heap),
+             len(jt.liveness.live)),
             ("invalidation backlog", nn.pending_invalidation_count(),
              8 * blocks + 64),
             ("event heap", len(sim._heap), 4096 + 100 * nodes + 16 * blocks),
@@ -244,6 +248,39 @@ class InvariantChecker:
         for name, size, bound in checks:
             if size > bound:
                 out.append(f"{name} size {size} exceeds bound {bound}")
+        return out
+
+    def _inv_parked_daemons(self) -> List[str]:
+        """Every parked heartbeat chain is resumable: its daemon is alive
+        at the epoch it parked in, is the member its master tracks and
+        believes alive, has no beat armed besides, and its chain's
+        resolved beat lies before the check instant with the next one
+        after it."""
+        now = self.sim.now
+        out = []
+        tables = (("jobtracker", self.system.jobtracker.liveness),
+                  ("namenode", self.system.namenode.liveness))
+        for master, table in tables:
+            if not table.parked:
+                continue
+            armed = table.clock.armed()
+            for host, desc in table.parked.items():
+                member = desc.member
+                where = f"{master} parked {host}"
+                if table.members.get(host) is not desc or not desc.alive:
+                    out.append(f"{where}: not the live tracked member")
+                if not member.is_alive or \
+                        member._hb_epoch != desc.park_epoch:
+                    out.append(f"{where}: daemon dead or restarted "
+                               f"(epoch {member._hb_epoch} vs parked "
+                               f"{desc.park_epoch})")
+                if id(member) in armed:
+                    out.append(f"{where}: also has a beat armed")
+                nxt = desc.next_beat
+                if nxt is None or not desc.last_heartbeat <= now or \
+                        not nxt > desc.last_heartbeat:
+                    out.append(f"{where}: chain at {desc.last_heartbeat!r}"
+                               f" -> {nxt!r} at check instant {now!r}")
         return out
 
     def _inv_no_orphans(self) -> List[str]:

@@ -23,11 +23,13 @@ Failure modes
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..net.fabric import NetworkFabric, TransferFailed
 from ..sim.engine import Simulator
 from ..sim.events import Event
+from ..sim.liveness import HeartbeatClock
 from ..storage.disk import Disk, DiskFullError, DiskIOError
 from .block import Block
 from .config import HdfsConfig
@@ -39,6 +41,11 @@ __all__ = ["Datanode", "BlockReadError"]
 
 #: Disk-usage label for HDFS block data.
 HDFS_LABEL = "hdfs"
+#: A parked datanode wakes this many heartbeat floors before its block
+#: report falls due.  Irrational, so the wake instant stays off the grid
+#: that sums of floors and adaptive periods (``live / rate``) step on: a
+#: beat landing exactly on it would be an ordering tie.
+REPORT_WAKE_LEAD = math.sqrt(0.5)
 
 
 class BlockReadError(Exception):
@@ -67,8 +74,11 @@ class Datanode:
         self.state = Datanode.DEAD  # not started yet
         self._blocks: Dict[int, Block] = {}
         self._hb_epoch = 0
+        self._hb_seq = 0
         self._dc_epoch = 0
         self._next_report: Optional[float] = None
+        #: Instant a pre-report wake is armed for while parked.
+        self._report_watch: Optional[float] = None
         #: Outbound re-replication streams currently running.
         self.active_repl_streams = 0
 
@@ -83,6 +93,8 @@ class Datanode:
         self._next_report = (
             None if interval is None
             else self.sim.now + self.config.block_report_initial_delay)
+        self._report_watch = None
+        self._hb_seq = HeartbeatClock.of(self.sim).enroll()
         self._hb_epoch += 1
         self.sim.call_soon(self._hb_tick, self._hb_epoch)
         if self.config.disk_check_interval is not None:
@@ -109,8 +121,17 @@ class Datanode:
         self.state = Datanode.ZOMBIE
         self.disk.wipe()
         self._blocks.clear()
+        liveness = self.namenode.liveness
+        desc = liveness.parked_desc(self)
+        if desc is not None:
+            liveness.wake(desc, self.sim._now)
 
     def _stop_loops(self) -> None:
+        # A parked chain is resolved up to now and forgotten.
+        liveness = self.namenode.liveness
+        desc = liveness.parked_desc(self)
+        if desc is not None:
+            liveness.drop(desc, self.sim._now)
         # Invalidate both cadences: ticks already on the heap fire as
         # no-ops against the stale epoch tokens.
         self._hb_epoch += 1
@@ -135,23 +156,51 @@ class Datanode:
         zombie semantics (the namenode keeps crediting a zombie's
         blocks until the disk self-check shuts the daemon down).
 
-        Runs on the callback-timer fast path: each tick re-arms via the
-        coalescing ``call_at`` (shared with the node's tasktracker ticks)
-        with the epoch token captured at :meth:`start`; ``_stop_loops``
-        bumps the epoch so stale ticks no-op.
+        Each tick re-arms on the heartbeat clock (one shared entry per
+        instant with the node's tasktracker) carrying the epoch token
+        captured at :meth:`start`; ``_stop_loops`` bumps the epoch so
+        stale ticks no-op.  When the namenode says the following beats
+        carry nothing, the chain parks instead (:mod:`repro.sim.liveness`)
+        with a wake armed just ahead of its next block report.
         """
         if epoch != self._hb_epoch or not self.is_alive:
             return
-        self.namenode.heartbeat(self)
-        next_report = self._next_report
-        if next_report is not None and self.sim.now >= next_report:
-            self.namenode.process_block_report(
-                self.host, self.block_report())
-            self._next_report = self.sim.now + self.config.block_report_interval
-        # Ask per beat: the period adapts to cluster size.
+        namenode = self.namenode
+        park = namenode.heartbeat(self)
         sim = self.sim
-        sim.call_at(sim._now + self.namenode.liveness.interval(),
-                    self._hb_tick, epoch)
+        now = sim._now
+        next_report = self._next_report
+        if next_report is not None and now >= next_report:
+            namenode.process_block_report(self.host, self.block_report())
+            next_report = self._next_report = (
+                now + self.config.block_report_interval)
+        # Ask per beat: the period adapts to cluster size.
+        liveness = namenode.liveness
+        nxt = now + liveness.interval()
+        if park and next_report is not None:
+            # The beat carrying the report must be real: wake a little
+            # ahead of the due time (a beat chain rarely lands exactly on
+            # that instant), and stay awake from then on.
+            wake_at = next_report - (REPORT_WAKE_LEAD
+                                     * self.config.heartbeat_interval)
+            park = now < wake_at
+        if park and liveness.park(liveness.members[self.host], nxt):
+            if next_report is not None and self._report_watch != wake_at:
+                self._report_watch = wake_at
+                sim.call_at(wake_at, self._report_due, epoch)
+            return
+        liveness.clock.arm(nxt, self)
+
+    def _report_due(self, epoch: int) -> None:
+        """The block report is about to fall due: a parked chain beats
+        for real until it has sent it."""
+        if epoch != self._hb_epoch:
+            return
+        self._report_watch = None
+        liveness = self.namenode.liveness
+        desc = liveness.parked_desc(self)
+        if desc is not None:
+            liveness.wake(desc, self.sim._now)
 
     def _dc_arm(self, epoch: int) -> None:
         """Arm the first disk probe one full interval out (the generator
@@ -167,6 +216,14 @@ class Datanode:
         if epoch != self._dc_epoch or not self.is_alive:
             return
         if not self.disk.probe():
+            liveness = self.namenode.liveness
+            desc = liveness.parked_desc(self)
+            if desc is not None:
+                # This probe was armed a full check interval ago; when
+                # beats come faster, any beat due now was armed later
+                # and runs after it: a parked beat now never ran.
+                liveness.drop(desc, self.sim._now, ambiguous=(
+                    self.config.disk_check_interval <= liveness.interval()))
             self.shutdown()
             return
         self.sim.call_after(

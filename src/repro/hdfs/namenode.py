@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
 from ..sim.events import Interrupt
-from ..sim.liveness import Descriptor, LivenessTable
+from ..sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
 from .config import HdfsConfig
@@ -57,7 +57,8 @@ class Namenode:
         #: Datanode heartbeats and the timeout verdicts (§III-B).
         self.liveness = LivenessTable(self.config.heartbeat_interval,
                                       self.config.heartbeats_per_second,
-                                      self.config.heartbeat_timeout)
+                                      self.config.heartbeat_timeout,
+                                      HeartbeatClock.of(sim))
         #: host → descriptor (the liveness table's member map).
         self._nodes: Dict[str, Descriptor] = self.liveness.members
         self._host_blocks: Dict[str, Dict[int, None]] = {}
@@ -153,13 +154,18 @@ class Namenode:
         # a target (or a source) again.
         self._rearm_deferred_replications()
 
-    def heartbeat(self, datanode: Datanode) -> None:
+    def heartbeat(self, datanode: Datanode) -> bool:
         """Periodic datanode report.  A heartbeat from a node previously
-        declared dead re-registers it (Hadoop's re-registration path)."""
+        declared dead re-registers it (Hadoop's re-registration path).
+
+        Returns True when the datanode may park: the beat was no
+        (re-)registration and left no delete command queued for it, so
+        its following beats only refresh ``last_heartbeat`` until a
+        delete is queued (:meth:`_queue_invalidation` wakes it)."""
         desc = self._nodes.get(datanode.host)
         if desc is None or desc.member is not datanode:
             self.register_datanode(datanode)
-            return
+            return False
         desc.last_heartbeat = self.sim._now
         if not desc.alive:
             self.liveness.revive(desc)
@@ -168,8 +174,12 @@ class Namenode:
             self.process_block_report(datanode.host, datanode.block_report(),
                                       reconcile=True)
             self._rearm_deferred_replications()
-        if self._invalidate_queue:
+            return False
+        queue = self._invalidate_queue
+        if queue:
             self._dispatch_invalidations(desc)
+            return datanode.host not in queue
+        return True
 
     def _declare_dead(self, desc: Descriptor) -> None:
         """Heartbeat timeout fired (the liveness table has already marked
@@ -345,6 +355,10 @@ class Namenode:
     # -- invalidation queue (the namenode "trash") ---------------------------------
     def _queue_invalidation(self, host: str, block_id: int) -> None:
         self._invalidate_queue.setdefault(host, {})[block_id] = None
+        # A parked datanode's next beat now carries delete commands.
+        desc = self.liveness.parked.get(host)
+        if desc is not None:
+            self.liveness.wake(desc, self.sim._now)
 
     def _dispatch_invalidations(self, desc: Descriptor) -> None:
         """Piggyback up to ``invalidate_work_per_heartbeat`` delete

@@ -19,6 +19,8 @@ Grid failure handling implemented here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from ..hdfs.block import Block
@@ -26,7 +28,7 @@ from ..hdfs.namenode import Namenode
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
 from ..sim.events import Event, Interrupt
-from ..sim.liveness import Descriptor, LivenessTable
+from ..sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 from ..sim.monitor import CounterSet
 from .config import MRConfig
 from .job import (
@@ -42,6 +44,59 @@ from .job import (
 from .tasktracker import TaskTracker
 
 __all__ = ["JobTracker"]
+
+#: Round-instant entries kept before a prune (see ``_round_instants``).
+ROUND_INSTANTS_MAX = 16384
+
+
+class _WakeOrder:
+    """Parked trackers with a free slot of one type, in wake order.
+
+    A lazy heap of ``(next beat, chain order, park id, descriptor)``;
+    entries go stale when their tracker unparks (or re-parks: a new park
+    id), and their keys lag when a resolve moves the chain.  ``sentinel``
+    is the tracker last woken from here, ``(beat instant, tracker,
+    epoch)``: until that beat, no parked entry beats before it — a push
+    with an earlier beat clears it — so work that waits needs no
+    further wake."""
+
+    __slots__ = ("heap", "sentinel")
+
+    def __init__(self) -> None:
+        self.heap: List[tuple] = []
+        self.sentinel: Optional[tuple] = None
+
+    def push(self, tracker: TaskTracker, desc: Descriptor) -> None:
+        nxt = desc.next_beat
+        heappush(self.heap, (nxt, tracker._hb_seq, desc.park_id, desc))
+        if self.sentinel is not None and nxt < self.sentinel[0]:
+            self.sentinel = None
+
+    def wake_first(self, liveness: LivenessTable, now: float) -> None:
+        """Wake the parked tracker that beats first, unless the last one
+        woken has yet to beat."""
+        sentinel = self.sentinel
+        if sentinel is not None:
+            at, tracker, epoch = sentinel
+            if at > now and tracker._hb_epoch == epoch and \
+                    liveness.parked_desc(tracker) is None:
+                return
+            self.sentinel = None
+        heap = self.heap
+        while heap:
+            key, seq, park_id, desc = heap[0]
+            if desc.park_id != park_id or desc.next_beat is None:
+                heappop(heap)  # unparked since
+                continue
+            if desc.next_beat < now:
+                liveness.resolve(desc, now)
+            if desc.next_beat != key:
+                heapreplace(heap, (desc.next_beat, seq, park_id, desc))
+                continue
+            tracker = desc.member
+            at = liveness.wake(desc, now)
+            self.sentinel = (at, tracker, tracker._hb_epoch)
+            return
 
 
 class JobTracker:
@@ -76,7 +131,29 @@ class JobTracker:
         #: Tasktracker heartbeats and the expiry verdicts (§III-B).
         self.liveness = LivenessTable(self.config.heartbeat_interval,
                                       self.config.heartbeats_per_second,
-                                      self.config.tracker_expiry)
+                                      self.config.tracker_expiry,
+                                      HeartbeatClock.of(sim))
+        self.liveness.on_replay = self._replayed
+        #: ``jobs_version`` change instants and the version after each: a
+        #: replayed beat reads its round's version here, and one landing
+        #: on a change instant is an ambiguous tie.
+        self._version_t: List[float] = self.liveness.marks
+        self._version_v: List[int] = []
+        #: instant → jobs_version of the last round counted there.
+        #: Chains can beat in lockstep (trackers started at one instant,
+        #: or at instants a whole number of periods apart), so a replayed
+        #: beat counts a round only if no beat at its instant and version
+        #: did.  Pruned once no replay can land before now.
+        self._round_instants: Dict[float, int] = {}
+        #: Parked trackers with a free map / reduce slot, in the order
+        #: they wake when work appears.
+        self._wake_maps = _WakeOrder()
+        self._wake_reduces = _WakeOrder()
+        #: Speculation gate a wake timer is armed for, if any.
+        self._gate_watch: Optional[float] = None
+        #: True while a real beat runs its assignment (wake checks wait
+        #: for the beat's own end).
+        self._beating = False
         #: host → descriptor (the liveness table's member map).
         self._trackers: Dict[str, Descriptor] = self.liveness.members
         #: Set when a live tracker is replaced in place (its running
@@ -163,8 +240,12 @@ class JobTracker:
             # without any failure report.  Flag the monitor's safety net.
             self._needs_orphan_scan = True
 
-    def heartbeat(self, tracker: TaskTracker) -> None:
-        """Tracker status report; schedules tasks onto its free slots."""
+    def heartbeat(self, tracker: TaskTracker) -> bool:
+        """Tracker status report; schedules tasks onto its free slots.
+
+        Returns True when the tracker may park: this beat launched
+        nothing and the scheduler says its next beats would do nothing
+        but bookkeeping (:meth:`FifoScheduler.idle`)."""
         now = self.sim._now
         desc = self._trackers.get(tracker.host)
         if desc is None or desc.member is not tracker:
@@ -176,20 +257,151 @@ class JobTracker:
             self.counters.incr("trackers_reregistered")
             self._tracker_count_changed()
         self.heartbeats += 1
-        round_key = (now, self.jobs_version)
+        version = self.jobs_version
+        round_key = (now, version)
         if round_key != self._round_key:
             # First heartbeat of this (instant, job-list) round: counted
             # (and traced) only — the scheduler's index refresh is lazy and
             # runs inside ``assign`` for trackers with free slots.
             self._round_key = round_key
-            self.heartbeat_rounds += 1
-            tr = self.tracer
-            if tr is not None:
-                tr.instant("control", "heartbeat-round", now,
-                           "jobtracker", args={"round": self.heartbeat_rounds,
-                                               "trackers": self.live_tracker_count()})
+            rounds = self._round_instants
+            if rounds.get(now) != version:
+                rounds[now] = version
+                if len(rounds) > ROUND_INSTANTS_MAX:
+                    self._prune_round_instants()
+                self.heartbeat_rounds += 1
+                tr = self.tracer
+                if tr is not None:
+                    tr.instant("control", "heartbeat-round", now,
+                               "jobtracker",
+                               args={"round": self.heartbeat_rounds,
+                                     "trackers": self.live_tracker_count()})
+        launched = False
+        self._beating = True
         for task, speculative, locality in self.scheduler.assign(tracker):
             self._launch(task, tracker, speculative, locality)
+            launched = True
+        self._beating = False
+        self._wake_for_work()
+        return not launched and self.scheduler.idle(tracker)
+
+    # -- parked trackers (see repro.sim.liveness) ------------------------------------
+    def park_tracker(self, tracker: TaskTracker, next_beat: float) -> bool:
+        """Park ``tracker`` after a beat :meth:`heartbeat` said may park;
+        returns False when the liveness table does not park (the caller
+        arms ``next_beat``)."""
+        desc = self._trackers[tracker.host]
+        if not self.liveness.park(desc, next_beat):
+            return False
+        free = False
+        if tracker.free_map_slots > 0:
+            self._wake_maps.push(tracker, desc)
+            free = True
+        if tracker.free_reduce_slots > 0:
+            self._wake_reduces.push(tracker, desc)
+            free = True
+        if free:
+            self._watch_gates()
+        return True
+
+    def _replayed(self, desc: Descriptor, instants: List[float]) -> None:
+        """Bookkeeping of replayed beats: a round per (instant, version)
+        no other beat counted."""
+        self.heartbeats += len(instants)
+        rounds = self._round_instants
+        version_t = self._version_t
+        i = bisect_left(version_t, instants[0])
+        new = 0
+        if i == len(version_t) or version_t[i] >= instants[-1]:
+            # One jobs_version throughout (the common case).
+            version = self._version_v[i - 1] if i else 0
+            for t in instants:
+                if rounds.get(t) != version:
+                    rounds[t] = version
+                    new += 1
+        else:
+            for t in instants:
+                i = bisect_left(version_t, t, i)
+                version = self._version_v[i - 1] if i else 0
+                if rounds.get(t) != version:
+                    rounds[t] = version
+                    new += 1
+        self.heartbeat_rounds += new
+
+    def _prune_round_instants(self) -> None:
+        """Resolve every parked tracker to now, after which no replay
+        can land before now: only this instant's entry stays useful."""
+        now = self.sim._now
+        self.liveness.resolve_all(now)
+        rounds = self._round_instants
+        keep = rounds.get(now)
+        rounds.clear()
+        if keep is not None:
+            rounds[now] = keep
+
+    def _parked_idle(self) -> bool:
+        return bool(self._wake_maps.heap or self._wake_reduces.heap)
+
+    def _wake_for_work(self) -> None:
+        """Make sure the first parked beat that would act on the work now
+        waiting is real: wake the parked tracker (in chain order) that
+        beats first, unless one woken earlier beats before it.
+
+        Every real beat runs this again, so while work waits the parked
+        trackers wake one at a time in chain order until it clears."""
+        if self._beating or not self._parked_idle():
+            return
+        maps, reduces = self.scheduler.waiting_work()
+        now = self.sim._now
+        if maps:
+            self._wake_maps.wake_first(self.liveness, now)
+        if reduces:
+            self._wake_reduces.wake_first(self.liveness, now)
+        self._watch_gates()
+
+    def _slot_freed(self, tracker: TaskTracker, desc: Descriptor,
+                    task_type: str) -> None:
+        """A parked tracker's slot freed: wake it if its next beat would
+        act, else queue it for the wake order."""
+        maps, reduces = self.scheduler.waiting_work()
+        free_maps = tracker.free_map_slots
+        free_reduces = tracker.free_reduce_slots
+        if (maps and free_maps > 0) or (reduces and free_reduces > 0):
+            self.liveness.wake(desc, self.sim._now)
+            return
+        if task_type == TaskType.MAP:
+            if free_maps == 1:
+                self._wake_maps.push(tracker, desc)
+        elif free_reduces == 1:
+            self._wake_reduces.push(tracker, desc)
+        self._watch_gates()
+
+    def _watch_gates(self) -> None:
+        """Arm a wake at the next speculation gate while trackers with a
+        free slot are parked: the first beat at or after it pulls the
+        gate, so it must be real."""
+        if not self._parked_idle():
+            return
+        gate = self.scheduler.index.next_gate()
+        watch = self._gate_watch
+        if gate <= self.sim._now or (watch is not None and watch <= gate) \
+                or gate == float("inf"):
+            return
+        self._gate_watch = gate
+        self.sim.call_at(gate, self._gate_due, gate)
+
+    def _gate_due(self, gate: float) -> None:
+        if self._gate_watch != gate:
+            return  # superseded by an earlier gate
+        self._gate_watch = None
+        self._wake_for_work()
+
+    def _jobs_changed(self) -> None:
+        """The schedulable-job list changed (submit or finish)."""
+        self.jobs_version += 1
+        self._version_t.append(self.liveness.stamp(self.sim._now))
+        self._version_v.append(self.jobs_version)
+        self._wake_for_work()
 
     def _lost_tracker(self, desc: Descriptor) -> None:
         """Heartbeat expiry (the liveness table has already marked the
@@ -256,7 +468,7 @@ class JobTracker:
         self._jobs.append(job)
         self._input_blocks[job.job_id] = data_blocks[:spec.num_maps]
         self._active_jobs_cache = None
-        self.jobs_version += 1
+        self._jobs_changed()
         self.jobs_submitted_seq += 1
         self.counters.incr("jobs_submitted")
         return job
@@ -453,7 +665,7 @@ class JobTracker:
         job.status = JobStatus.SUCCEEDED
         job.finish_time = self.sim.now
         self._active_jobs_cache = None
-        self.jobs_version += 1
+        self._jobs_changed()
         self.counters.incr("jobs_succeeded")
         self._trace_job(job)
         self._cleanup_job(job)
@@ -462,7 +674,7 @@ class JobTracker:
         job.status = JobStatus.FAILED
         job.finish_time = self.sim.now
         self._active_jobs_cache = None
-        self.jobs_version += 1
+        self._jobs_changed()
         self.counters.incr("jobs_failed")
         self._trace_job(job)
         for task in list(job.maps) + list(job.reduces):

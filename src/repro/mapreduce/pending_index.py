@@ -145,6 +145,18 @@ class _SpecArming:
             self.version += 1
         self._gates.pop(job.job_id, None)
 
+    def next_gate(self) -> float:
+        """The earliest live snoozed gate (``inf`` when none); drops stale
+        heap tops, which :meth:`pull` would skip anyway."""
+        heap = self._heap
+        gates = self._gates
+        while heap:
+            gate, jid, _ = heap[0]
+            if gates.get(jid) == gate:
+                return gate
+            heappop(heap)
+        return float("inf")
+
     def pull(self, now: float) -> None:
         """Move every snoozed job whose gate has passed back to armed."""
         heap = self._heap
@@ -187,7 +199,7 @@ class ClusterPendingIndex:
         self.spec = {TaskType.MAP: _SpecArming(), TaskType.REDUCE: _SpecArming()}
         self._jobs: Dict[int, Job] = {}
         self._indexes: Dict[int, JobLocalityIndex] = {}
-        self._synced_version = -1
+        self.synced_version = -1
         #: Bumped on every ``map_jobs`` / ``reduce_jobs`` mutation; the
         #: candidate-list caches below key on (pending, armed) versions so
         #: the per-pick sorted merge happens only when something changed —
@@ -209,9 +221,9 @@ class ClusterPendingIndex:
         """Reconcile with the schedulable-job list.  O(1) when the
         jobtracker's ``jobs_version`` is unchanged; O(jobs) on change."""
         version = self.jobtracker.jobs_version
-        if version == self._synced_version:
+        if version == self.synced_version:
             return
-        self._synced_version = version
+        self.synced_version = version
         known = self._jobs
         for job in jobs:
             if job.job_id not in known:
@@ -309,6 +321,8 @@ class ClusterPendingIndex:
                     arming.arm(job)
             if old == TaskStatus.RUNNING and not job.running_reduce_tasks:
                 arming.drop(job)
+        # Candidates may have appeared: parked trackers may have work.
+        self.jobtracker._wake_for_work()
 
     def _admit_reduces(self, job: Job) -> None:
         """Bucket a job with pending reduces by slowstart readiness.
@@ -386,6 +400,16 @@ class ClusterPendingIndex:
             self._map_version += 1
 
     # -- heartbeat-path queries ----------------------------------------------
+    def gate_due(self, now: float) -> bool:
+        """True if :meth:`pull_spec` at ``now`` may arm a job (a heap top,
+        possibly stale, is due).  Pure read."""
+        return any(arming._heap and arming._heap[0][0] <= now
+                   for arming in self.spec.values())
+
+    def next_gate(self) -> float:
+        """The earliest live snoozed speculation gate, or ``inf``."""
+        return min(arming.next_gate() for arming in self.spec.values())
+
     def pull_spec(self, now: float) -> None:
         """Promote snoozed jobs whose speculation gates have passed."""
         self.spec[TaskType.MAP].pull(now)

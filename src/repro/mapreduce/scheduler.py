@@ -57,6 +57,43 @@ class FifoScheduler:
         A subclass whose map pick has a side effect even when it finds
         nothing replays that effect here."""
 
+    #: True when a map pick changes state even when it finds nothing
+    #: (:meth:`_idle_heartbeat` does something): a tracker with a free
+    #: map slot then acts on every beat while jobs exist.
+    IDLE_MARKS = False
+
+    # -- parking predicate (see repro.sim.liveness) ---------------------------
+    def waiting_work(self) -> Tuple[bool, bool]:
+        """Whether a heartbeat now from a tracker with a free map slot /
+        a free reduce slot would do more than bookkeeping.
+
+        A beat acts when jobs exist and the index is behind the job list
+        (``sync`` would run), a snoozed speculation gate is due
+        (``pull_spec`` would arm it), or a candidate list its free slot
+        reads is non-empty.  Pure read."""
+        jt = self.jobtracker
+        if not jt.schedulable_jobs():
+            return False, False
+        index = self.index
+        if index.synced_version != jt.jobs_version or \
+                index.gate_due(jt.sim._now):
+            return True, True
+        speculative = self.config.speculative_execution
+        return (self.IDLE_MARKS or bool(index.map_candidates(speculative)),
+                bool(index.reduce_candidates(speculative)))
+
+    def idle(self, tracker) -> bool:
+        """True when ``tracker``'s next beats would only be bookkeeping
+        until a wake trigger (work appearing, a slot freeing, a gate
+        falling due)."""
+        free_maps = tracker.free_map_slots
+        free_reduces = tracker.free_reduce_slots
+        if free_maps <= 0 and free_reduces <= 0:
+            return True
+        maps, reduces = self.waiting_work()
+        return not ((maps and free_maps > 0)
+                    or (reduces and free_reduces > 0))
+
     # -- assignment ----------------------------------------------------------
     def assign(self, tracker: "TaskTracker") -> List[Tuple[Task, bool, str]]:
         """Return ``(task, speculative, locality)`` assignments for one

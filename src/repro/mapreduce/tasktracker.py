@@ -27,6 +27,7 @@ from ..hdfs.namenode import Namenode
 from ..net.fabric import NetworkFabric, TransferFailed
 from ..sim.engine import Simulator
 from ..sim.events import Interrupt
+from ..sim.liveness import HeartbeatClock
 from ..sim.util import gather_safe
 from ..storage.disk import Disk, DiskFullError, DiskIOError
 from .config import MRConfig
@@ -81,6 +82,7 @@ class TaskTracker:
         self._n_running_maps = 0
         self._n_running_reduces = 0
         self._hb_epoch = 0
+        self._hb_seq = 0
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:
@@ -89,16 +91,24 @@ class TaskTracker:
             raise RuntimeError(f"tasktracker {self.host} already started")
         self.state = TaskTracker.RUNNING
         self.jobtracker.register_tracker(self)
+        self._hb_seq = HeartbeatClock.of(self.sim).enroll()
         self._hb_epoch += 1
         self.sim.call_soon(self._hb_tick, self._hb_epoch)
 
     def shutdown(self) -> None:
         """Clean daemon exit (running attempts are abandoned)."""
+        jt = self.jobtracker
+        desc = jt.liveness.parked_desc(self)
+        if desc is not None:
+            # Resolve the parked chain up to now, then forget it.
+            jt.liveness.drop(desc, self.sim._now)
         self._kill_all_attempts()
         # Invalidate the heartbeat cadence: a tick already on the heap
         # fires as a no-op against the stale epoch token.
         self._hb_epoch += 1
         self.state = TaskTracker.DEAD
+        # Work may have been waiting on this tracker's next beat.
+        jt._wake_for_work()
 
     def kill(self) -> None:
         """Abrupt death with the process tree (fixed-HOG preemption)."""
@@ -115,6 +125,10 @@ class TaskTracker:
         """
         if self.state == TaskTracker.RUNNING:
             self.state = TaskTracker.ZOMBIE
+            liveness = self.jobtracker.liveness
+            desc = liveness.parked_desc(self)
+            if desc is not None:
+                liveness.wake(desc, self.sim._now)
 
     @property
     def is_alive(self) -> bool:
@@ -142,6 +156,10 @@ class TaskTracker:
             self._n_running_maps -= 1
         else:
             self._n_running_reduces -= 1
+        jt = self.jobtracker
+        desc = jt.liveness.parked_desc(self)
+        if desc is not None:
+            jt._slot_freed(self, desc, attempt.task.type)
 
     @property
     def free_map_slots(self) -> int:
@@ -155,20 +173,24 @@ class TaskTracker:
 
     # -- heartbeat -----------------------------------------------------------------
     def _hb_tick(self, epoch: int) -> None:
-        """One heartbeat on the callback-timer fast path.
+        """One heartbeat.
 
-        The cadence is a chain of coalescing ``call_at`` timers (shared
-        with the node's datanode ticks) carrying the epoch token captured
-        at :meth:`start`; ``shutdown`` bumps the epoch, so a tick from a
-        dead incarnation lands here and does nothing.
+        The cadence is a chain of beats on the heartbeat clock (one
+        shared entry per instant with the node's datanode) carrying the
+        epoch token captured at :meth:`start`; ``shutdown`` bumps the
+        epoch, so a tick from a dead incarnation lands here and does
+        nothing.  When the jobtracker says the following beats would do
+        nothing, the chain parks instead (:mod:`repro.sim.liveness`).
         """
         if epoch != self._hb_epoch or not self.is_alive:
             return
-        self.jobtracker.heartbeat(self)
+        jt = self.jobtracker
+        park = jt.heartbeat(self)
         # Ask per beat: the period adapts to cluster size.
-        sim = self.sim
-        sim.call_at(sim._now + self.jobtracker.liveness.interval(),
-                    self._hb_tick, epoch)
+        nxt = self.sim._now + jt.liveness.interval()
+        if park and jt.park_tracker(self, nxt):
+            return
+        jt.liveness.clock.arm(nxt, self)
 
     # -- attempt execution -------------------------------------------------------------
     def launch(self, attempt: TaskAttempt) -> None:

@@ -112,11 +112,17 @@ def _render_bench(report: dict, out: List[str]) -> None:
             continue
         out.append(f"\n[{section}]")
         for rec in recs:
-            out.append(
+            line = (
                 f"  {rec.get('scenario', '?'):18s}@{rec.get('nodes'):>6}: "
                 f"wall={rec.get('wall_seconds', 0):.2f}s  "
                 f"events/s={_fmt_value(rec.get('events_per_second') or 0)}  "
                 f"makespan={rec.get('makespan_seconds')}s")
+            control = rec.get("control") or {}
+            if "parked_beats" in control:
+                line += (f"  parked={control['parked_beats']} "
+                         f"wakes={control['park_wakes']} "
+                         f"ties={control['park_ties']}")
+            out.append(line)
 
 
 def _run_diff(old: dict, new: dict, t: Thresholds) -> int:

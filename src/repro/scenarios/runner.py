@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.config import HOGConfig
-from ..core.hog import HOGSystem
+from ..core.hog import PARK_KEYS, HOGSystem
 from ..faults.injector import Injector
 from ..faults.invariants import InvariantChecker
 from ..grid.glidein import WrapperConfig
@@ -148,7 +148,8 @@ class ScenarioResult:
     channel: Dict[str, int] = field(default_factory=dict)
     #: Control-plane counters (heartbeat rounds, scheduler index updates,
     #: namenode block-report aggregates) — the delta-driven path's cost
-    #: (the registry's ``control`` namespace).
+    #: (the registry's ``control`` namespace).  The heartbeat-parking
+    #: keys (``PARK_KEYS``) are obs-only: :meth:`payload` drops them.
     control: Dict[str, int] = field(default_factory=dict)
     #: The namenode's full counter bag (the registry's ``hdfs``
     #: namespace).  Recovery-health leaves (``blocks_all_replicas_lost``,
@@ -240,6 +241,10 @@ class ScenarioResult:
         d.pop("engine")
         d.pop("trace")
         d.pop("invariants")
+        # Heartbeat parking counts how beats were dispatched, not what
+        # the simulation did: obs-only.
+        d["control"] = {k: v for k, v in d["control"].items()
+                        if k not in PARK_KEYS}
         d["phases"] = [{"name": p["name"], "sim_seconds": p["sim_seconds"]}
                        for p in d["phases"]]
         return d
@@ -365,6 +370,7 @@ class ScenarioRunner:
             phases.append(PhaseStat(name, time.perf_counter() - t0,
                                     sim.now - s0))
             phase_bounds.append((name, s0, sim.now))
+            hog.resolve_heartbeats()
             if self.checker is not None:
                 self.checker.check(name)
 

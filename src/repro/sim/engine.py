@@ -74,6 +74,14 @@ class Simulator:
         #: each dispatch.  ``None`` (default) costs one attribute load per
         #: event; profiling is read-only either way.
         self.profile: Optional[EngineProfile] = None
+        #: The daemons' shared heartbeat clock
+        #: (:class:`~repro.sim.liveness.HeartbeatClock`), made on first use.
+        self.hb_clock = None
+        #: Every event scheduled at or before this instant has run (set
+        #: when a run stops on its horizon or a dry heap, not when it
+        #: stops right after an event): lets a parked heartbeat at the
+        #: current instant be known to have beaten already.
+        self.settled_through = float("-inf")
 
     # -- time -----------------------------------------------------------------
     @property
@@ -283,7 +291,7 @@ class Simulator:
         while heap and stop._state < PROCESSED:
             when, priority = heap[0][0], heap[0][1]
             if when > horizon:
-                return
+                break
             self._now = when
             prof = self.profile
             n = 0
@@ -301,6 +309,11 @@ class Simulator:
             self.events_processed += n
             if prof is not None:
                 prof.note_batch(n)
+        if stop._state < PROCESSED:
+            # Stopped by the horizon or a dry heap: every event at or
+            # before it has run.
+            self.settled_through = (horizon if horizon != float("inf")
+                                    else self._now)
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:g} pending={len(self._heap)}>"

@@ -8,11 +8,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.hdfs import Datanode, HdfsClient, HdfsConfig, Namenode, SiteAwarePolicy
+from repro.hdfs import namenode as namenode_mod
 from repro.mapreduce import JobSpec, JobTracker, MRConfig, TaskTracker
+from repro.mapreduce import jobtracker as jobtracker_mod
 from repro.mapreduce import scheduler as scheduler_mod
 from repro.mapreduce.pending_index import ClusterPendingIndex
 from repro.net import DnsSiteResolver, FabricConfig, NetworkFabric, NetworkTopology
 from repro.sim import Simulator
+from repro.sim.liveness import LivenessTable
 from repro.storage import Disk
 
 
@@ -187,3 +190,26 @@ def scan_scheduling():
         yield
     finally:
         scheduler_mod.ClusterPendingIndex = original
+
+
+class NoParkLivenessTable(LivenessTable):
+    """Parking oracle: a table that never parks, so every heartbeat is
+    dispatched as a real beat — the behaviour before parking existed.
+    Comparing a run under this oracle with a normal run proves the park
+    predicates, the replay and the wake triggers exact."""
+
+    def park(self, desc, next_beat) -> bool:
+        return False
+
+
+@contextmanager
+def no_parking():
+    """Build every master created inside the block on
+    :class:`NoParkLivenessTable`."""
+    saved = (jobtracker_mod.LivenessTable, namenode_mod.LivenessTable)
+    jobtracker_mod.LivenessTable = namenode_mod.LivenessTable = \
+        NoParkLivenessTable
+    try:
+        yield
+    finally:
+        jobtracker_mod.LivenessTable, namenode_mod.LivenessTable = saved

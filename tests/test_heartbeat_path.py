@@ -1,11 +1,15 @@
 """The idle-heartbeat fast path.
 
 - **Shared heap entries.**  A node's tasktracker and datanode re-arm
-  their heartbeat cadences through the coalescing ``Simulator.call_at``,
-  so both ticks of one beat ride one :class:`CallbackTimer`.  A stale
-  tick (daemon shut down) is a no-op inside the shared entry and must
-  not disturb its partner.  Obs probe and invariant ticks stay dedicated
-  (their counts are subtracted from ``events_processed``).
+  their heartbeat cadences on the simulator's heartbeat clock, so both
+  ticks of one beat ride one clock batch (one coalesced
+  :class:`CallbackTimer`).  A stale tick (daemon shut down) is a no-op
+  inside the shared batch and must not disturb its partner.  Obs probe
+  and invariant ticks stay dedicated (their counts are subtracted from
+  ``events_processed``).
+- **Parking.**  Idle chains park and their beats are replayed; lockstep
+  trackers share heartbeat rounds whether their beats are real or
+  replayed, and every counter matches the run that never parks.
 - **Empty-index gate.**  ``FifoScheduler.assign`` returns early when the
   cluster index has no candidate job for either picker.  The gate must
   run *after* the index refresh: a snoozed speculation gate passing at
@@ -24,7 +28,8 @@ from repro.mapreduce import MRConfig
 from repro.obs.probes import ProbeSet
 from repro.sim import Simulator
 
-from helpers import HdfsHarness, MRHarness, ScanPendingIndex, scan_scheduling
+from helpers import (HdfsHarness, MRHarness, ScanPendingIndex, no_parking,
+                     scan_scheduling)
 
 
 def _small_hog(target=4):
@@ -41,41 +46,46 @@ def _small_hog(target=4):
     return sim, hog
 
 
-def _timers_holding(sim, owner):
-    """Pending shared timers with a callback bound to ``owner``."""
-    return [t for t in sim._wakeups.values()
-            if any(getattr(fn, "__self__", None) is owner
-                   for fn in t._fns[::2])]
+def _batches_holding(sim, owner):
+    """Instants of pending clock batches holding a beat of ``owner``
+    (stale ones included), each checked to ride one shared timer."""
+    out = []
+    for when, batch in sim.hb_clock._due.items():
+        if any(d is owner for _, _, d in batch):
+            timer = sim._wakeups[when]
+            assert timer._fns[::2] == [sim.hb_clock._fire]
+            out.append(when)
+    return out
 
 
 class TestSharedHeartbeatEntry:
     def test_node_daemons_tick_from_one_timer(self):
-        sim, hog = _small_hog()
+        with no_parking():
+            sim, hog = _small_hog()
         for node in hog.nodes.values():
-            tt_timers = _timers_holding(sim, node.tasktracker)
-            dn_timers = _timers_holding(sim, node.datanode)
-            assert len(tt_timers) == 1
-            assert tt_timers == dn_timers, node.host
+            tt_batches = _batches_holding(sim, node.tasktracker)
+            dn_batches = _batches_holding(sim, node.datanode)
+            assert len(tt_batches) == 1
+            assert tt_batches == dn_batches, node.host
 
     def test_stale_tick_is_a_noop_and_partner_continues(self):
-        sim, hog = _small_hog()
+        with no_parking():
+            sim, hog = _small_hog()
         node = hog.nodes[sorted(hog.nodes)[0]]
         tt, dn = node.tasktracker, node.datanode
-        (shared,) = _timers_holding(sim, tt)
-        fire_at = shared.when
+        (fire_at,) = _batches_holding(sim, tt)
         jt_desc = hog.jobtracker._trackers[node.host]
         nn_desc = hog.namenode._nodes[node.host]
         tt_seen = jt_desc.last_heartbeat
 
-        tt.shutdown()  # its tick is already inside the shared entry
-        assert _timers_holding(sim, tt) == [shared]
+        tt.shutdown()  # its tick is already inside the shared batch
+        assert _batches_holding(sim, tt) == [fire_at]
         sim.run(until=fire_at)
 
         assert jt_desc.last_heartbeat == tt_seen
         assert nn_desc.last_heartbeat == fire_at
-        assert _timers_holding(sim, tt) == []
-        (nxt,) = _timers_holding(sim, dn)
-        next_at = nxt.when
+        assert _batches_holding(sim, tt) == []
+        (next_at,) = _batches_holding(sim, dn)
         assert next_at > fire_at
         sim.run(until=next_at)
         assert nn_desc.last_heartbeat == next_at
@@ -95,6 +105,44 @@ class TestSharedHeartbeatEntry:
                                 for fn in e[3]._fns[::2])]
             assert timer.when is None  # not in the shared registry
             assert len(timer._fns) == 2  # owns its entry alone
+
+
+class TestLockstepRounds:
+    """Trackers started at one instant beat in lockstep, so each of
+    their shared instants is one heartbeat round — whether the beats
+    are dispatched or replayed from a parked chain."""
+
+    @staticmethod
+    def _counts(parking):
+        with nullcontext() if parking else no_parking():
+            h = MRHarness(n_nodes=2, n_sites=1)  # both start at t=0
+        h.run(until=61.5)  # beats at 0, 3, ..., 60
+        jt = h.jobtracker
+        jt.liveness.resolve_all(h.sim.now)
+        return jt.heartbeats, jt.heartbeat_rounds, len(jt.liveness.parked)
+
+    def test_two_trackers_started_at_one_instant_share_rounds(self):
+        plain = self._counts(parking=False)
+        parked = self._counts(parking=True)
+        assert plain == (42, 21, 0)
+        assert parked == (42, 21, 2)
+
+    def test_replayed_beat_shares_a_dispatched_beats_round(self):
+        """One lockstep partner woken (its beat at 33 is dispatched), the
+        other parked: the parked partner's replayed beat at 33 adds no
+        round."""
+        h = MRHarness(n_nodes=2, n_sites=1)
+        h.run(until=30.5)
+        jt = h.jobtracker
+        jt.liveness.resolve_all(h.sim.now)
+        awake, asleep = (jt.tracker(host) for host in h.hosts())
+        jt.liveness.wake(jt._trackers[awake.host], h.sim.now)
+        beats, rounds = jt.heartbeats, jt.heartbeat_rounds
+        h.run(until=40.5)  # both beat at 33, 36, 39
+        jt.liveness.resolve_all(h.sim.now)
+        assert jt.heartbeats - beats == 6
+        assert jt.heartbeat_rounds - rounds == 3
+        assert asleep.host in jt.liveness.parked
 
 
 class TestEmptyIndexGate:

@@ -98,6 +98,34 @@ class TestCorruptionDetected:
         assert checker.check("poke") > 0
         assert "heaps_bounded" in checker.violation_counts
 
+    def test_tracker_heartbeat_heap_leak_flagged(self):
+        h, system = make_system()
+        liveness = h.jobtracker.liveness
+        liveness._heap.append((0.0, h.hosts()[0]))  # a second entry
+        checker = InvariantChecker(h.sim, system)
+        assert checker.check("poke") > 0
+        assert "heaps_bounded" in checker.violation_counts
+
+    @pytest.mark.parametrize("master", ["jobtracker", "namenode"])
+    @pytest.mark.parametrize("corrupt", ["epoch", "dead", "ahead", "armed"])
+    def test_broken_parked_daemon_flagged(self, master, corrupt):
+        h, system = make_system()
+        h.run(until=40.3)
+        table = getattr(h, master).liveness
+        assert InvariantChecker(h.sim, system).check("clean") == 0
+        desc = next(iter(table.parked.values()))
+        if corrupt == "epoch":
+            desc.member._hb_epoch += 1  # restarted behind the park
+        elif corrupt == "dead":
+            desc.member.state = "dead"
+        elif corrupt == "ahead":
+            desc.last_heartbeat = h.sim.now + 100.0
+        else:
+            table.clock.arm(desc.next_beat, desc.member)
+        checker = InvariantChecker(h.sim, system)
+        assert checker.check("poke") > 0
+        assert set(checker.violation_counts) == {"parked_daemons"}
+
     def test_orphaned_running_attempt_flagged(self):
         h, system = make_system()
         h.submit(num_maps=4, num_reduces=1)

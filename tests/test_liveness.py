@@ -3,11 +3,15 @@
 Both masters run it: the namenode over datanodes, the jobtracker over
 tasktrackers.  These tests pin the adaptive period, the expiry stretch,
 the lazy heap (one entry per live member, re-aimed only when popped),
-and the strict tie rule: dead iff ``last_heartbeat + expiry < now``.
+and the strict tie rule: dead iff ``last_heartbeat + expiry < now``;
+and the replay of a parked chain against a naive re-computation.
 """
 
+import random
+
 from repro.hdfs import hog_config
-from repro.sim.liveness import LivenessTable
+from repro.sim import Simulator
+from repro.sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 
 from helpers import HdfsHarness
 
@@ -113,3 +117,49 @@ class TestTieRule:
         h.run(until=42.0)
         assert host not in nn.live_datanode_hosts()
         assert nn.counters.get("datanodes_declared_dead") == 1
+
+
+class TestReplay:
+    """``resolve`` replays a parked chain exactly like real beats: each
+    beat adds the period that the live count before its instant gives."""
+
+    @staticmethod
+    def _naive(t, until, changes, base, rate):
+        beats = []
+        while t < until:
+            live = 0
+            for at, count in changes:
+                if at < t:
+                    live = count
+            beats.append(t)
+            t = t + (base if rate <= 0 else max(base, live / rate))
+        return beats, t
+
+    def test_matches_naive_replay_on_random_logs(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            base = rng.choice([3.0, 1.0, 0.5])
+            rate = rng.choice([0.0, 100.0, 10.0, 7.0])
+            table = LivenessTable(base, rate, 30.0,
+                                  HeartbeatClock.of(Simulator()))
+            at, live, changes = 0.0, 0, []
+            for _ in range(rng.randint(0, 60)):
+                # Repeated and on-grid instants on purpose: ties.
+                at += rng.choice([0.0, 0.01, 0.5, 1.7, 3.0, rng.random() * 5])
+                live = max(0, live + rng.choice([1, 1, 1, -1]))
+                changes.append((at, live))
+                table._log_t.append(at)
+                table._log_step.append(
+                    base if rate <= 0 else max(base, live / rate))
+            desc = Descriptor(Member("h"), 0.0)
+            desc.next_beat = start = rng.choice(
+                [0.0, rng.random() * 20] + [c[0] for c in changes[:1]])
+            until = start + rng.random() * 80 + 0.01
+            replayed = []
+            table.on_replay = lambda _d, instants: replayed.extend(instants)
+            table.resolve(desc, until)
+            beats, nxt = self._naive(start, until, changes, base, rate)
+            assert replayed == beats
+            assert desc.next_beat == nxt
+            assert desc.last_heartbeat == beats[-1]
+            assert table.replayed == len(beats)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.hog import PARK_KEYS
 from repro.grid.preemption import PreemptionEvent, PreemptionTrace
 from repro.grid.site import PAPER_SITE_DOMAINS, PAPER_SITE_NAMES, SitePolicy
 from repro.mapreduce.job import JobSpec
@@ -244,6 +245,8 @@ class TestDeterminismGuard:
             d.pop("engine")
             d.pop("trace")
             d.pop("invariants")
+            d["control"] = {k: v for k, v in d["control"].items()
+                            if k not in PARK_KEYS}
             d["phases"] = [{"name": p["name"],
                             "sim_seconds": p["sim_seconds"]}
                            for p in d["phases"]]
