@@ -127,7 +127,6 @@ class Datanode:
             liveness.wake(desc, self.sim._now)
 
     def _stop_loops(self) -> None:
-        # A parked chain is resolved up to now and forgotten.
         liveness = self.namenode.liveness
         desc = liveness.parked_desc(self)
         if desc is not None:

@@ -100,7 +100,6 @@ class TaskTracker:
         jt = self.jobtracker
         desc = jt.liveness.parked_desc(self)
         if desc is not None:
-            # Resolve the parked chain up to now, then forget it.
             jt.liveness.drop(desc, self.sim._now)
         self._kill_all_attempts()
         # Invalidate the heartbeat cadence: a tick already on the heap
