@@ -254,7 +254,8 @@ def main(argv=None) -> int:
         }
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"[scale-sweep] wrote {args.output}")
-        return _check_against(args, report)
+        tied = _check_parking(report)
+        return _check_against(args, report) or tied
 
     nodes = args.nodes
     scale = args.scale
@@ -320,7 +321,23 @@ def main(argv=None) -> int:
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[scale-sweep] wrote {args.output}")
-    return _check_against(args, report)
+    tied = _check_parking(report)
+    return _check_against(args, report) or tied
+
+
+def _check_parking(report: dict) -> int:
+    """Heartbeat parking met no ambiguous tie at any point: a tie marks a
+    run whose result may differ from the same run without parking
+    (:mod:`repro.sim.liveness`).  Non-zero on any."""
+    records = [rec for section in ("points", "contended_points",
+                                   "frontier_points")
+               for rec in report.get(section, ())]
+    records += list(report.get("scenarios", {}).values())
+    tied = [rec for rec in records if rec["control"].get("park_ties")]
+    for rec in tied:
+        print(f"[scale-sweep] PARKING TIES {rec['scenario']}@"
+              f"{rec['nodes']}: {rec['control']['park_ties']}")
+    return 1 if tied else 0
 
 
 def _check_against(args, report: dict) -> int:

@@ -374,7 +374,7 @@ class HOGSystem:
         tables = (self.jobtracker.liveness, self.namenode.liveness)
         return {"parked_beats": sum(t.replayed for t in tables),
                 "park_wakes": sum(t.wakes for t in tables),
-                "park_ties": sum(t.ties for t in tables)}
+                "park_ties": self.sim.hb_clock.ties}
 
     def preempt_host(self, host: str, zombie: bool = False) -> None:
         """Force a site preemption of the glidein running at ``host``.

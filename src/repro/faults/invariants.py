@@ -227,7 +227,9 @@ class InvariantChecker:
         """Lazy heaps and namenode metadata stay linear in real state —
         generous slack, so only a genuine leak (e.g. a hot requeue loop
         pushing every tick) trips it.  The heartbeat heaps have no slack:
-        each holds one entry per live datanode / tasktracker."""
+        each holds one entry per live datanode / tasktracker.  The
+        parking change logs, marks and wake heaps trim themselves at
+        their bounds."""
         nn = self.system.namenode
         jt = self.system.jobtracker
         sim = self.sim
@@ -241,6 +243,16 @@ class InvariantChecker:
             ("heartbeat heap", len(nn.liveness._heap), len(nn.liveness.live)),
             ("tracker heartbeat heap", len(jt.liveness._heap),
              len(jt.liveness.live)),
+            ("heartbeat change log", len(nn.liveness._log_t),
+             nn.liveness.log_bound()),
+            ("tracker heartbeat change log", len(jt.liveness._log_t),
+             jt.liveness.log_bound()),
+            ("job-list marks", len(jt.liveness.marks),
+             jt.liveness.log_bound()),
+            ("map wake heap", len(jt._wake_maps.heap),
+             jt._wake_maps.bound()),
+            ("reduce wake heap", len(jt._wake_reduces.heap),
+             jt._wake_reduces.bound()),
             ("invalidation backlog", nn.pending_invalidation_count(),
              8 * blocks + 64),
             ("event heap", len(sim._heap), 4096 + 100 * nodes + 16 * blocks),

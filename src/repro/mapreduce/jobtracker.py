@@ -20,7 +20,7 @@ Grid failure handling implemented here:
 from __future__ import annotations
 
 from bisect import bisect_left
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from ..hdfs.block import Block
@@ -54,27 +54,41 @@ class _WakeOrder:
 
     A lazy heap of ``(next beat, chain order, park id, descriptor)``;
     entries go stale when their tracker unparks (or re-parks: a new park
-    id), and their keys lag when a resolve moves the chain.  ``sentinel``
-    is the tracker last woken from here, ``(beat instant, tracker,
-    epoch)``: until that beat, no parked entry beats before it — a push
-    with an earlier beat clears it — so work that waits needs no
-    further wake."""
+    id), and their keys lag when a resolve moves the chain.  A push that
+    finds the heap past :meth:`bound` drops the stale entries.
+    ``sentinel`` is the tracker last woken from here, ``(beat instant,
+    tracker, epoch)``: until that beat, no parked entry beats before it
+    — a push with an earlier beat clears it — so work that waits needs
+    no further wake."""
 
-    __slots__ = ("heap", "sentinel")
+    __slots__ = ("liveness", "heap", "sentinel")
 
-    def __init__(self) -> None:
+    def __init__(self, liveness: LivenessTable) -> None:
+        self.liveness = liveness
         self.heap: List[tuple] = []
         self.sentinel: Optional[tuple] = None
 
+    def bound(self) -> int:
+        """Most entries the heap holds: twice the trackers, plus slack
+        (each parked tracker has at most one live entry)."""
+        return 64 + 2 * len(self.liveness.members)
+
     def push(self, tracker: TaskTracker, desc: Descriptor) -> None:
+        heap = self.heap
+        if len(heap) >= self.bound():
+            heap[:] = [(d.next_beat, seq, park_id, d)
+                       for _, seq, park_id, d in heap
+                       if d.park_id == park_id and d.next_beat is not None]
+            heapify(heap)
         nxt = desc.next_beat
-        heappush(self.heap, (nxt, tracker._hb_seq, desc.park_id, desc))
+        heappush(heap, (nxt, tracker._hb_seq, desc.park_id, desc))
         if self.sentinel is not None and nxt < self.sentinel[0]:
             self.sentinel = None
 
-    def wake_first(self, liveness: LivenessTable, now: float) -> None:
+    def wake_first(self, now: float) -> None:
         """Wake the parked tracker that beats first, unless the last one
         woken has yet to beat."""
+        liveness = self.liveness
         sentinel = self.sentinel
         if sentinel is not None:
             at, tracker, epoch = sentinel
@@ -134,11 +148,6 @@ class JobTracker:
                                       self.config.tracker_expiry,
                                       HeartbeatClock.of(sim))
         self.liveness.on_replay = self._replayed
-        #: ``jobs_version`` change instants and the version after each: a
-        #: replayed beat reads its round's version here, and one landing
-        #: on a change instant is an ambiguous tie.
-        self._version_t: List[float] = self.liveness.marks
-        self._version_v: List[int] = []
         #: instant → jobs_version of the last round counted there.
         #: Chains can beat in lockstep (trackers started at one instant,
         #: or at instants a whole number of periods apart), so a replayed
@@ -147,8 +156,8 @@ class JobTracker:
         self._round_instants: Dict[float, int] = {}
         #: Parked trackers with a free map / reduce slot, in the order
         #: they wake when work appears.
-        self._wake_maps = _WakeOrder()
-        self._wake_reduces = _WakeOrder()
+        self._wake_maps = _WakeOrder(self.liveness)
+        self._wake_reduces = _WakeOrder(self.liveness)
         #: Speculation gate a wake timer is armed for, if any.
         self._gate_watch: Optional[float] = None
         #: True while a real beat runs its assignment (wake checks wait
@@ -306,15 +315,17 @@ class JobTracker:
 
     def _replayed(self, desc: Descriptor, instants: List[float]) -> None:
         """Bookkeeping of replayed beats: a round per (instant, version)
-        no other beat counted."""
+        no other beat counted.  Each beat reads its version from the
+        ``jobs_version`` marks (:meth:`_jobs_changed`)."""
         self.heartbeats += len(instants)
         rounds = self._round_instants
-        version_t = self._version_t
+        version_t = self.liveness.marks
+        versions = self.liveness.mark_values
         i = bisect_left(version_t, instants[0])
         new = 0
         if i == len(version_t) or version_t[i] >= instants[-1]:
             # One jobs_version throughout (the common case).
-            version = self._version_v[i - 1] if i else 0
+            version = versions[i - 1] if i else 0
             for t in instants:
                 if rounds.get(t) != version:
                     rounds[t] = version
@@ -322,7 +333,7 @@ class JobTracker:
         else:
             for t in instants:
                 i = bisect_left(version_t, t, i)
-                version = self._version_v[i - 1] if i else 0
+                version = versions[i - 1] if i else 0
                 if rounds.get(t) != version:
                     rounds[t] = version
                     new += 1
@@ -354,9 +365,9 @@ class JobTracker:
         maps, reduces = self.scheduler.waiting_work()
         now = self.sim._now
         if maps:
-            self._wake_maps.wake_first(self.liveness, now)
+            self._wake_maps.wake_first(now)
         if reduces:
-            self._wake_reduces.wake_first(self.liveness, now)
+            self._wake_reduces.wake_first(now)
         self._watch_gates()
 
     def _slot_freed(self, tracker: TaskTracker, desc: Descriptor,
@@ -397,10 +408,11 @@ class JobTracker:
         self._wake_for_work()
 
     def _jobs_changed(self) -> None:
-        """The schedulable-job list changed (submit or finish)."""
+        """The schedulable-job list changed (submit or finish): a mark
+        replayed beats read their round's version from, and must not
+        land on."""
         self.jobs_version += 1
-        self._version_t.append(self.liveness.stamp(self.sim._now))
-        self._version_v.append(self.jobs_version)
+        self.liveness.mark(self.sim._now, self.jobs_version)
         self._wake_for_work()
 
     def _lost_tracker(self, desc: Descriptor) -> None:

@@ -45,8 +45,6 @@ class MatchmakingScheduler(FifoScheduler):
             self._marker.clear()
             self._submits_seen = seq
 
-    IDLE_MARKS = True
-
     def _idle_heartbeat(self, tracker, free_maps: int) -> None:
         # The skipped map pick would have refused the node: mark it.
         if free_maps > 0:

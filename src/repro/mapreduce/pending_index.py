@@ -400,12 +400,6 @@ class ClusterPendingIndex:
             self._map_version += 1
 
     # -- heartbeat-path queries ----------------------------------------------
-    def gate_due(self, now: float) -> bool:
-        """True if :meth:`pull_spec` at ``now`` may arm a job (a heap top,
-        possibly stale, is due).  Pure read."""
-        return any(arming._heap and arming._heap[0][0] <= now
-                   for arming in self.spec.values())
-
     def next_gate(self) -> float:
         """The earliest live snoozed speculation gate, or ``inf``."""
         return min(arming.next_gate() for arming in self.spec.values())

@@ -57,11 +57,6 @@ class FifoScheduler:
         A subclass whose map pick has a side effect even when it finds
         nothing replays that effect here."""
 
-    #: True when a map pick changes state even when it finds nothing
-    #: (:meth:`_idle_heartbeat` does something): a tracker with a free
-    #: map slot then acts on every beat while jobs exist.
-    IDLE_MARKS = False
-
     # -- parking predicate (see repro.sim.liveness) ---------------------------
     def waiting_work(self) -> Tuple[bool, bool]:
         """Whether a heartbeat now from a tracker with a free map slot /
@@ -70,16 +65,22 @@ class FifoScheduler:
         A beat acts when jobs exist and the index is behind the job list
         (``sync`` would run), a snoozed speculation gate is due
         (``pull_spec`` would arm it), or a candidate list its free slot
-        reads is non-empty.  Pure read."""
+        reads is non-empty.  Changes nothing a decision reads (stale
+        speculation-gate heap tops are dropped, as ``pull_spec`` would)."""
         jt = self.jobtracker
         if not jt.schedulable_jobs():
             return False, False
         index = self.index
         if index.synced_version != jt.jobs_version or \
-                index.gate_due(jt.sim._now):
+                index.next_gate() <= jt.sim._now:
             return True, True
         speculative = self.config.speculative_execution
-        return (self.IDLE_MARKS or bool(index.map_candidates(speculative)),
+        # A scheduler whose empty map pick has a side effect (it
+        # overrides ``_idle_heartbeat``) acts on every beat of a tracker
+        # with a free map slot.
+        idle_acts = (type(self)._idle_heartbeat
+                     is not FifoScheduler._idle_heartbeat)
+        return (idle_acts or bool(index.map_candidates(speculative)),
                 bool(index.reduce_candidates(speculative)))
 
     def idle(self, tracker) -> bool:

@@ -40,19 +40,31 @@ the daemon *parks*: it arms no timer and keeps its chain position
   at an instant ``< t``.
 - **Tie rule.**  A change logged at exactly a replayed instant is
   ambiguous — the real beat could have run on either side of it — and
-  is counted in ``ties`` when it moves the period (so is a job-list
-  change, one of the jobtracker's ``marks``, at a replayed instant).  A
-  change made once every beat of its instant has provably run (the
-  simulator settled the instant, or that instant's beat batch already
-  fired) is logged just after it (:meth:`LivenessTable.stamp`) and is
-  no tie.  A wake that must arm a beat at the current instant out of
-  chain order, and a stop exactly on a parked beat, are ties too.
-  Runs assert ``ties == 0``.
+  counts in :attr:`HeartbeatClock.ties` when it moves the period (so
+  does a job-list change, one of the master's ``marks``, at a replayed
+  instant).  A change made once every beat of its instant has provably
+  run (the simulator settled the instant, or that instant's beat batch
+  already fired) is logged just after it (:meth:`LivenessTable.stamp`)
+  and is no tie.  Dispatch order gives ties too: a wake that must arm a
+  beat at the current instant out of chain order, and a beat armed as
+  the first of its instant while another source already holds a
+  coalesced timer there and a chain is parked (a parked chain may have
+  registered that instant first in a run that never parks, ahead of the
+  other source's callbacks).  A stop exactly on a parked beat is a tie
+  too.  Ties are counted conservatively, and ``bench_scale_sweep``
+  fails on any.  Not counted: a timeout or ``call_after`` event due
+  exactly on a beat instant and created between the moment a parked
+  chain would have armed that instant and the moment an awake one does
+  (the engine does not index such events by instant); the comparison
+  with a run that never parks (``tests/test_parking.py``) covers it.
 - **Resolve contract.**  :meth:`LivenessTable.expire` resolves a parked
   member before judging it; a daemon's shutdown, kill and zombie entry
   resolve up to that instant and drop the park (:meth:`drop`,
   :meth:`wake`); masters resolve their counters before anyone reads
-  them (:meth:`resolve_all`).
+  them (:meth:`resolve_all`).  Once every parked chain is resolved to
+  an instant no replay starts before it again, so the change log and
+  the marks keep only their last entry before it; a log outgrowing
+  :meth:`LivenessTable.log_bound` is resolved and trimmed that way.
 - **Wake.**  :meth:`wake` resolves a parked daemon up to now and arms
   its next beat (the first chain instant not yet beaten) as a real one.
   What triggers a wake is the master's business: the jobtracker wakes
@@ -71,6 +83,10 @@ from math import inf, nextafter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Descriptor", "HeartbeatClock", "LivenessTable"]
+
+#: Change-log and mark entries a table keeps, beyond two per member,
+#: before it resolves its parked chains and trims (:meth:`log_bound`).
+LOG_SLACK = 4096
 
 
 class Descriptor:
@@ -118,6 +134,10 @@ class HeartbeatClock:
         self._pos = 0
         #: Instant of the last batch dispatched.
         self.fired_at: Optional[float] = None
+        #: The liveness tables whose members beat here.
+        self.tables: List["LivenessTable"] = []
+        #: Ambiguous ties met by any table or by dispatch (must stay 0).
+        self.ties = 0
 
     @classmethod
     def of(cls, sim) -> "HeartbeatClock":
@@ -132,10 +152,9 @@ class HeartbeatClock:
         self._seq += 1
         return self._seq
 
-    def arm(self, when: float, daemon) -> bool:
-        """Schedule ``daemon``'s beat at ``when``.  Returns False when the
-        beat had to be armed at the current instant out of chain order
-        (the one case where dispatch order is not reproduced)."""
+    def arm(self, when: float, daemon) -> None:
+        """Schedule ``daemon``'s beat at ``when``, counting a tie when its
+        dispatch order may differ from a run that never parks."""
         entry = (daemon._hb_seq, daemon._hb_epoch, daemon)
         if when == self._firing:
             # Join the running batch after the beat now dispatching; in
@@ -143,17 +162,22 @@ class HeartbeatClock:
             batch = self._batch
             pos = self._pos
             batch.insert(bisect_left(batch, entry, pos), entry)
-            return batch[pos - 1][0] < entry[0]
+            if batch[pos - 1][0] > entry[0]:
+                self.ties += 1
+            return
         batch = self._due.get(when)
         if batch is None:
+            sim = self.sim
+            if when <= sim._now or (when in sim._wakeups and any(
+                    table.parked for table in self.tables)):
+                self.ties += 1
             self._due[when] = [entry]
-            self.sim.call_at(when, self._fire, when)
-            return when > self.sim._now
+            sim.call_at(when, self._fire, when)
+            return
         if batch[-1][0] < entry[0]:
             batch.append(entry)
         else:
             insort(batch, entry)
-        return True
 
     def _fire(self, when: float) -> None:
         batch = self._due.pop(when)
@@ -183,12 +207,12 @@ class LivenessTable:
     """Last-heard times, live set and expiry heap of one master."""
 
     def __init__(self, base_interval: float, rate: float,
-                 expiry: float, clock: Optional[HeartbeatClock] = None
-                 ) -> None:
+                 expiry: float, clock: HeartbeatClock) -> None:
         self._base = base_interval
         self._rate = rate
         self._expiry = expiry
         self.clock = clock
+        clock.tables.append(self)
         #: host → descriptor of the daemon last registered there.
         self.members: Dict[str, Descriptor] = {}
         #: Believed-alive hosts (insertion-ordered dict as a set).
@@ -198,16 +222,17 @@ class LivenessTable:
         self._log_t: List[float] = []
         self._log_step: List[float] = []
         #: Sorted instants a replayed beat must not land on (the
-        #: master's own ambiguity marks; see module docstring).
+        #: master's own ambiguity marks; see module docstring), and the
+        #: master's value from each on (:meth:`mark`).
         self.marks: List[float] = []
+        self.mark_values: List[int] = []
         #: host → descriptor of each parked member.
         self.parked: Dict[str, Descriptor] = {}
         #: Master bookkeeping for replayed beats (see module docstring).
         self.on_replay: Optional[Callable] = None
-        #: Replayed beats, wakes, and ambiguous ties (obs counters).
+        #: Replayed beats and wakes (obs counters; ties are the clock's).
         self.replayed = 0
         self.wakes = 0
-        self.ties = 0
 
     def interval(self) -> float:
         """Per-member heartbeat period: ``max(base, live / rate)``; the
@@ -249,8 +274,7 @@ class LivenessTable:
         settled the instant, or its beat batch was dispatched (all beats
         of one instant share it) — else ``now`` itself."""
         clock = self.clock
-        if clock is not None and (clock.sim.settled_through >= now
-                                  or clock.fired_at == now):
+        if clock.sim.settled_through >= now or clock.fired_at == now:
             return nextafter(now, inf)
         return now
 
@@ -260,8 +284,23 @@ class LivenessTable:
         heappush(self._heap, (now + self.expiry(), host))
 
     def _log_change(self, now: float) -> None:
+        if len(self._log_t) >= self.log_bound():
+            self.resolve_all(now)
         self._log_t.append(self.stamp(now))
         self._log_step.append(self.interval())
+
+    def mark(self, now: float, value: int) -> None:
+        """Log a master change at ``now`` that a replayed beat reads
+        (``value`` from then on) and must not land on."""
+        if len(self.marks) >= self.log_bound():
+            self.resolve_all(now)
+        self.marks.append(self.stamp(now))
+        self.mark_values.append(value)
+
+    def log_bound(self) -> int:
+        """Most entries the change log or the marks hold: past it the
+        table resolves every parked chain and trims."""
+        return LOG_SLACK + 2 * len(self.members)
 
     def expire(self, now: float) -> Iterator[Descriptor]:
         """Yield each live member silent past the expiry at ``now``,
@@ -291,8 +330,6 @@ class LivenessTable:
         """Park ``desc``'s daemon after a real beat whose successors are
         provably bookkeeping only; ``next_beat`` is the beat it would arm.
         Returns False when the table does not park (the caller arms)."""
-        if self.clock is None:
-            return False
         desc.next_beat = next_beat
         desc.park_epoch = desc.member._hb_epoch
         desc.park_id += 1
@@ -336,23 +373,25 @@ class LivenessTable:
         desc.next_beat = t
         desc.last_heartbeat = out[-1]
         self.replayed += len(out)
-        self.ties += ties
+        self.clock.ties += ties
         hook = self.on_replay
         if hook is not None:
             hook(desc, out)
 
-    def _bound(self, now: float) -> float:
-        """Replay bound for an action at ``now``: beats at ``now`` have
-        already run once the simulator settled this instant (a run
-        stopped on its horizon), else only the beats before it have."""
-        return self.stamp(now)
-
     def resolve_all(self, now: float) -> None:
         """Resolve every parked member up to ``now`` (before a counter
-        read)."""
-        until = self._bound(now)
+        read), then trim the change log and the marks."""
+        until = self.stamp(now)
         for desc in self.parked.values():
             self.resolve(desc, until)
+        # No replay starts before ``until`` any more: of the entries
+        # before it only the last (the value from then on) is read.
+        for times, values in ((self._log_t, self._log_step),
+                              (self.marks, self.mark_values)):
+            k = bisect_left(times, until) - 1
+            if k > 0:
+                del times[:k]
+                del values[:k]
 
     def _unpark(self, desc: Descriptor, until: float) -> float:
         self.resolve(desc, until)
@@ -365,10 +404,9 @@ class LivenessTable:
         """Resolve a parked daemon up to ``now`` and arm its next beat
         (the first chain instant not yet beaten) as a real one; returns
         that instant."""
-        t = self._unpark(desc, self._bound(now))
+        t = self._unpark(desc, self.stamp(now))
         self.wakes += 1
-        if not self.clock.arm(t, desc.member):
-            self.ties += 1
+        self.clock.arm(t, desc.member)
         return t
 
     def drop(self, desc: Descriptor, now: float,
@@ -377,8 +415,8 @@ class LivenessTable:
         forget the park.  A beat due exactly at ``now`` of an unsettled
         instant is a tie unless the caller knows the stop precedes it
         (``ambiguous``)."""
-        if self._unpark(desc, self._bound(now)) == now and ambiguous:
-            self.ties += 1
+        if self._unpark(desc, self.stamp(now)) == now and ambiguous:
+            self.clock.ties += 1
 
     def parked_desc(self, member) -> Optional[Descriptor]:
         """``member``'s descriptor if it is parked, else ``None``."""

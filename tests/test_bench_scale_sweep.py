@@ -121,3 +121,15 @@ class TestSmokeMode:
         loadgen = bench.contended_loadgen()
         base = bench.calibration.default_loadgen()
         assert loadgen.map_output_ratio > base.map_output_ratio
+
+
+class TestParkingGate:
+    def test_parking_tie_fails_the_sweep(self):
+        bench = _load_bench_module()
+        clean = {"scenario": "baseline", "nodes": 30,
+                 "control": {"park_ties": 0}}
+        assert bench._check_parking({"points": [clean]}) == 0
+        tied = {"scenario": "blackout", "nodes": 40,
+                "control": {"park_ties": 2}}
+        assert bench._check_parking(
+            {"points": [clean], "scenarios": {"blackout": tied}}) == 1

@@ -106,6 +106,23 @@ class TestCorruptionDetected:
         assert checker.check("poke") > 0
         assert "heaps_bounded" in checker.violation_counts
 
+    @pytest.mark.parametrize("leak", ["log", "marks", "wake"])
+    def test_parking_bookkeeping_leak_flagged(self, leak):
+        h, system = make_system()
+        h.run(until=40.3)
+        jt = h.jobtracker
+        liveness = jt.liveness
+        if leak == "log":
+            liveness._log_t.extend([0.0] * (liveness.log_bound() + 1))
+        elif leak == "marks":
+            liveness.marks.extend([0.0] * (liveness.log_bound() + 1))
+        else:
+            jt._wake_maps.heap.extend([(0.0, 0, 0, None)]
+                                      * jt._wake_maps.bound())
+        checker = InvariantChecker(h.sim, system)
+        assert checker.check("poke") > 0
+        assert set(checker.violation_counts) == {"heaps_bounded"}
+
     @pytest.mark.parametrize("master", ["jobtracker", "namenode"])
     @pytest.mark.parametrize("corrupt", ["epoch", "dead", "ahead", "armed"])
     def test_broken_parked_daemon_flagged(self, master, corrupt):

@@ -11,18 +11,21 @@ import random
 
 from repro.hdfs import hog_config
 from repro.sim import Simulator
+from repro.sim import liveness as liveness_mod
 from repro.sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 
 from helpers import HdfsHarness
 
 
 class Member:
+    _hb_epoch = 1
+
     def __init__(self, host):
         self.host = host
 
 
 def _table(n=0, base=3.0, rate=100.0, expiry=30.0):
-    table = LivenessTable(base, rate, expiry)
+    table = LivenessTable(base, rate, expiry, HeartbeatClock.of(Simulator()))
     for i in range(n):
         table.register(Member(f"n{i}.site.edu"), 0.0)
     return table
@@ -163,3 +166,35 @@ class TestReplay:
             assert desc.next_beat == nxt
             assert desc.last_heartbeat == beats[-1]
             assert table.replayed == len(beats)
+
+    def test_trimmed_log_replays_the_same(self, monkeypatch):
+        """A table resolves and trims its change log and marks at their
+        bound; the beats it replays do not change."""
+        def run(slack):
+            monkeypatch.setattr(liveness_mod, "LOG_SLACK", slack)
+            table = _table(3, base=0.5, rate=2.0)
+            replayed = []
+            table.on_replay = lambda _d, instants: replayed.extend(instants)
+            desc = table.members["n0.site.edu"]
+            table.park(desc, 0.5)
+            rng = random.Random(7)
+            peak = 0
+            for k in range(400):
+                at = 0.37 * k
+                for _ in table.expire(at):
+                    pass  # silent members leave: live-count changes
+                host = f"x{k % 7}.site.edu"
+                if rng.random() < 0.5 and host not in table.live:
+                    table.register(Member(host), at)
+                table.mark(at, k)
+                assert len(table._log_t) <= table.log_bound()
+                assert len(table.marks) <= table.log_bound()
+                peak = max(peak, len(table._log_t) + len(table.marks))
+            table.resolve_all(200.0)
+            return replayed, desc.next_beat, peak
+        kept, nxt, peak = run(8)
+        full, full_nxt, full_peak = run(10_000)
+        assert len(kept) > 40
+        assert kept == full and nxt == full_nxt
+        assert peak < full_peak / 4
+

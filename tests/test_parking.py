@@ -80,7 +80,7 @@ def _harness_run(parking: bool, script):
                     for host, d in table.members.items()}
              for name, table in (("jt", jt.liveness), ("nn", nn.liveness))}
     jobs = [(j.job_id, j.status, j.finish_time) for j in jt.jobs()]
-    ties = jt.liveness.ties + nn.liveness.ties
+    ties = jt.liveness.clock.ties
     parked = jt.liveness.replayed + nn.liveness.replayed
     return (jt.heartbeats, jt.heartbeat_rounds,
             jt.scheduler.index.updates, beats, jobs), ties, parked
