@@ -310,9 +310,9 @@ def main(argv=None) -> int:
         "benchmark": "bench_scale_sweep",
         "description": "fig4-style Facebook workload on HOG at increasing "
                        "node counts (unified max-min channel core with "
-                       "arrival/departure/completion fast paths and "
-                       "pass-size telemetry), plus one run of every "
-                       "registry scenario",
+                       "arrival/completion fast paths and pass-size "
+                       "telemetry), plus one run of every registry "
+                       "scenario",
         "python": sys.version.split()[0],
         "points": points,
         "contended_points": contended_points,

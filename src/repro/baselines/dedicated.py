@@ -174,12 +174,12 @@ class DedicatedCluster:
         """Submit a MapReduce job."""
         return self.jobtracker.submit_job(spec)
 
-    def run_until_jobs_done(self, jobs: List[Job], timeout: float = 200_000.0,
-                            step: Optional[float] = None) -> float:
+    def run_until_jobs_done(self, jobs: List[Job],
+                            timeout: float = 200_000.0) -> float:
         """Advance simulation until every job in ``jobs`` finished.
 
         Event-driven: returns at the exact finish timestamp of the last
-        job.  ``step`` is kept for backwards compatibility and ignored."""
+        job."""
         done = self.jobtracker.when_jobs_done(jobs)
         if self.sim.run_until(done, self.sim.now + timeout):
             return self.sim.now

@@ -180,7 +180,7 @@ class HOGSystem:
         channel = self.fabric.channel
         reg.bind_attrs("channel", channel, (
             "rebalances", "uniform_groups", "uniform_completions",
-            "uniform_leaves", "uniform_joins", "uniform_pins",
+            "uniform_joins", "uniform_pins",
             "cross_partition_passes", "arrival_fast_paths",
             "departure_fast_paths", "completion_fast_paths",
             "starvation_rescues", "peak_demands",
@@ -290,15 +290,13 @@ class HOGSystem:
             return
 
     # -- run helpers ---------------------------------------------------------------------
-    def run_until_nodes(self, n: int, timeout: float = 36_000.0,
-                        step: Optional[float] = None) -> float:
+    def run_until_nodes(self, n: int, timeout: float = 36_000.0) -> float:
         """Advance simulation until ``n`` workers are running (the paper
         waits for the target before starting the workload, §IV-A).
         Returns the exact time the count is reached; raises on timeout.
 
         Event-driven: the engine jumps straight from real event to real
-        event instead of advancing on a fixed polling grid.  ``step`` is
-        kept for backwards compatibility and ignored."""
+        event instead of advancing on a fixed polling grid."""
         if self.factory.running_count() >= n:
             return self.sim.now
         reached = self.factory.when_running(n)
@@ -308,13 +306,12 @@ class HOGSystem:
         raise TimeoutError(
             f"only {self.factory.running_count()}/{n} nodes after {timeout}s")
 
-    def run_until_jobs_done(self, jobs: List[Job], timeout: float = 200_000.0,
-                            step: Optional[float] = None) -> float:
+    def run_until_jobs_done(self, jobs: List[Job],
+                            timeout: float = 200_000.0) -> float:
         """Advance simulation until every job in ``jobs`` finished.
 
         Returns the exact finish timestamp of the last job (not rounded up
-        to a polling step).  ``step`` is kept for backwards compatibility
-        and ignored."""
+        to a polling step)."""
         done = self.jobtracker.when_jobs_done(jobs)
         if self.sim.run_until(done, self.sim.now + timeout):
             return self.sim.now

@@ -9,11 +9,11 @@ ones until every node is within ``threshold`` of the mean utilization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.engine import Simulator
-from ..sim.events import Event
-from .datanode import Datanode
+from ..sim.events import Process
+from .datanode import RECEIVE_FAILURES, Datanode
 from .namenode import Namenode
 
 __all__ = ["Balancer", "BalancerReport"]
@@ -115,14 +115,13 @@ class Balancer:
         return moves
 
     # -- execution --------------------------------------------------------------------
-    def run(self, max_iterations: int = 200) -> Event:
-        """Balance until within threshold (or iteration cap); returns an
-        event carrying a :class:`BalancerReport`."""
-        done = self.sim.event()
-        self.sim.process(self._run_proc(max_iterations, done), name="balancer")
-        return done
+    def run(self, max_iterations: int = 200) -> Process:
+        """Balance until within threshold (or iteration cap); returns the
+        balancer process, whose value is a :class:`BalancerReport`."""
+        return self.sim.process(self._run_proc(max_iterations),
+                                name="balancer")
 
-    def _run_proc(self, max_iterations: int, done: Event):
+    def _run_proc(self, max_iterations: int):
         report = BalancerReport()
         while report.iterations < max_iterations:
             report.iterations += 1
@@ -153,10 +152,10 @@ class Balancer:
                 info = self.namenode.block_info(bid)
                 try:
                     yield ev
-                except Exception:
+                except RECEIVE_FAILURES:
                     info.pending_targets.pop(tgt, None)
                     info.balancer_drop = None
                     continue
                 report.moved_blocks += 1
                 report.moved_bytes += info.block.size
-        done.succeed(report)
+        return report

@@ -9,16 +9,16 @@ reported to the namenode and retried from the next-closest replica.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..net.fabric import NetworkFabric
 from ..sim.engine import Simulator
-from ..sim.events import Event
-from ..sim.util import gather_safe
+from ..sim.events import Process
+from ..sim.util import expected_failure, gather_safe
 from .block import Block, FileInfo
-from .datanode import Datanode
+from .datanode import RECEIVE_FAILURES, BlockReadError
 from .namenode import HdfsError, Namenode
 
 __all__ = ["HdfsClient", "BlockUnavailableError", "ReadResult"]
@@ -54,8 +54,10 @@ class HdfsClient:
 
     # -- write --------------------------------------------------------------------
     def write_file(self, name: str, size: float,
-                   replication: Optional[int] = None) -> Event:
-        """Create and write ``name``; returns an event with the FileInfo.
+                   replication: Optional[int] = None) -> Process:
+        """Create and write ``name``; returns the writing process, which
+        succeeds with the FileInfo or fails (defused) with ``HdfsError``
+        / ``ValueError``.
 
         Each block is written through a replication pipeline: the client
         streams to the first datanode, which streams to the second, and so
@@ -64,19 +66,16 @@ class HdfsClient:
         tolerated as long as at least one replica lands; the replication
         monitor repairs the rest.
         """
-        done = self.sim.event()
-        self.sim.process(self._write_file_proc(name, size, replication, done),
-                         name=f"hdfs-write:{name}")
-        return done
+        return self.sim.process(
+            self._write_file_proc(name, size, replication),
+            name=f"hdfs-write:{name}")
 
     def _write_file_proc(self, name: str, size: float,
-                         replication: Optional[int], done: Event):
+                         replication: Optional[int]):
         try:
             fi = self.namenode.create_file(name, size, replication)
         except (HdfsError, ValueError) as exc:
-            done.fail(exc)
-            done.defused()
-            return
+            raise expected_failure(self.sim, exc)
         for block in fi.blocks:
             if block.size <= 0:
                 continue
@@ -84,10 +83,8 @@ class HdfsClient:
                 yield self.sim.process(self._write_block(fi, block))
             except HdfsError as exc:
                 self.namenode.delete_file(name)
-                done.fail(exc)
-                done.defused()
-                return
-        done.succeed(fi)
+                raise expected_failure(self.sim, exc)
+        return fi
 
     def _write_block(self, fi: FileInfo, block: Block):
         targets = self.namenode.choose_write_targets(
@@ -102,40 +99,39 @@ class HdfsClient:
             events.append(dn.receive_block(block, prev))
             prev = host
         outcomes = yield gather_safe(self.sim, events)
+        for o in outcomes:
+            if not o.ok and not isinstance(o.error, RECEIVE_FAILURES):
+                raise o.error  # a bug, not a lost pipeline member
         if not any(o.ok for o in outcomes):
             raise HdfsError(f"entire write pipeline failed for {block!r}")
 
     # -- read ------------------------------------------------------------------------
-    def read_block(self, block_id: int) -> Event:
-        """Read one block; succeeds with a :class:`ReadResult`."""
-        done = self.sim.event()
-        self.sim.process(self._read_block_proc(block_id, done),
-                         name=f"hdfs-read:{block_id}@{self.host}")
-        return done
+    def read_block(self, block_id: int) -> Process:
+        """Read one block; returns the reading process, which succeeds
+        with a :class:`ReadResult` or fails (defused) with
+        :class:`BlockUnavailableError`."""
+        return self.sim.process(self._read_block_proc(block_id),
+                                name=f"hdfs-read:{block_id}@{self.host}")
 
-    def _read_block_proc(self, block_id: int, done: Event):
+    def _read_block_proc(self, block_id: int):
         try:
             locations = self.namenode.locate(block_id)
         except HdfsError as exc:
-            done.fail(BlockUnavailableError(str(exc)))
-            done.defused()
-            return
+            raise expected_failure(self.sim, BlockUnavailableError(str(exc)))
         ordered = sorted(locations,
                          key=lambda h: (self.fabric.topology.distance(self.host, h), h))
         for host in ordered:
             dn = self.namenode.datanode(host)
             try:
                 block = yield dn.serve_read(block_id, self.host)
-            except Exception:
+            except BlockReadError:
                 # Dead/zombie replica: tell the namenode, try the next one.
                 self.namenode.report_bad_replica(block_id, host)
                 continue
-            done.succeed(ReadResult(block, host,
-                                    self.fabric.topology.distance(self.host, host)))
-            return
-        done.fail(BlockUnavailableError(
+            return ReadResult(block, host,
+                              self.fabric.topology.distance(self.host, host))
+        raise expected_failure(self.sim, BlockUnavailableError(
             f"block {block_id}: no readable replica among {len(ordered)} believed"))
-        done.defused()
 
     # -- preload ---------------------------------------------------------------------
     def preload_file(self, name: str, size: float,

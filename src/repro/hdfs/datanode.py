@@ -28,8 +28,9 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..net.fabric import NetworkFabric, TransferFailed
 from ..sim.engine import Simulator
-from ..sim.events import Event
+from ..sim.events import Process
 from ..sim.liveness import HeartbeatClock
+from ..sim.util import expected_failure
 from ..storage.disk import Disk, DiskFullError, DiskIOError
 from .block import Block
 from .config import HdfsConfig
@@ -37,7 +38,7 @@ from .config import HdfsConfig
 if TYPE_CHECKING:  # pragma: no cover
     from .namenode import Namenode
 
-__all__ = ["Datanode", "BlockReadError"]
+__all__ = ["Datanode", "BlockReadError", "RECEIVE_FAILURES"]
 
 #: Disk-usage label for HDFS block data.
 HDFS_LABEL = "hdfs"
@@ -50,6 +51,11 @@ REPORT_WAKE_LEAD = math.sqrt(0.5)
 
 class BlockReadError(Exception):
     """A replica could not be served (missing block / dead or zombie node)."""
+
+
+#: What :meth:`Datanode.receive_block` fails with; its waiters catch
+#: exactly these, so anything else raised inside a receive crashes the run.
+RECEIVE_FAILURES = (DiskFullError, DiskIOError, TransferFailed)
 
 
 class Datanode:
@@ -265,7 +271,7 @@ class Datanode:
         self.namenode.block_received(block.block_id, self.host)
 
     def receive_block(self, block: Block, source: str,
-                      source_disk: Optional[Disk] = None) -> Event:
+                      source_disk: Optional[Disk] = None) -> Process:
         """Receive a replica from ``source`` over the network and persist it.
 
         ``source_disk`` (when given) joins the stream's constraint set
@@ -274,28 +280,23 @@ class Datanode:
         write — what a balancer migration or re-replication physically
         is.  Without it only our write side and the network are modelled.
 
-        Returns an event succeeding once the replica is finalized and
-        reported, or failing with ``DiskFullError`` / ``TransferFailed`` /
-        ``DiskIOError``.
+        Returns the receiving process: it succeeds with the block once
+        the replica is finalized and reported, or fails (defused) with
+        one of :data:`RECEIVE_FAILURES`.
         """
-        done = self.sim.event()
-        self.sim.process(
-            self._receive_block_proc(block, source, done, source_disk),
+        return self.sim.process(
+            self._receive_block_proc(block, source, source_disk),
             name=f"dn-recv:{self.host}:{block.block_id}")
-        return done
 
-    def _receive_block_proc(self, block: Block, source: str, done: Event,
-                            source_disk: Optional[Disk] = None):
+    def _receive_block_proc(self, block: Block, source: str,
+                            source_disk: Optional[Disk]):
         if self.state != Datanode.RUNNING:
-            done.fail(DiskIOError(f"datanode {self.host} not running"))
-            done.defused()
-            return
+            raise expected_failure(
+                self.sim, DiskIOError(f"datanode {self.host} not running"))
         try:
             self.disk.allocate(block.size, HDFS_LABEL)
         except (DiskFullError, DiskIOError) as exc:
-            done.fail(exc)
-            done.defused()
-            return
+            raise expected_failure(self.sim, exc)
         start = self.sim.now
         # Streaming receive: one demand jointly constrained by the network
         # path (source NIC, WAN legs, our NIC) and our disk write bandwidth
@@ -314,13 +315,10 @@ class Datanode:
         except (TransferFailed, DiskIOError) as exc:
             if self.disk.alive:
                 self.disk.release(block.size, HDFS_LABEL)
-            done.fail(exc)
-            done.defused()
-            return
+            raise expected_failure(self.sim, exc)
         if self.state != Datanode.RUNNING:
-            done.fail(DiskIOError(f"datanode {self.host} died finalizing block"))
-            done.defused()
-            return
+            raise expected_failure(self.sim, DiskIOError(
+                f"datanode {self.host} died finalizing block"))
         self._blocks[block.block_id] = block
         tr = self.namenode.tracer
         if tr is not None:
@@ -328,25 +326,23 @@ class Datanode:
                     track=self.host, args={"from": source,
                                            "bytes": block.size})
         self.namenode.block_received(block.block_id, self.host)
-        done.succeed(block)
+        return block
 
-    def serve_read(self, block_id: int, reader: str) -> Event:
+    def serve_read(self, block_id: int, reader: str) -> Process:
         """Stream a replica to ``reader``: local disk read + network transfer.
 
-        Fails with :class:`BlockReadError` when the replica is absent or
-        the daemon is a zombie (working directory wiped).
+        Returns the serving process: it succeeds with the block, or fails
+        (defused) with :class:`BlockReadError` when the replica is absent,
+        the daemon is a zombie (working directory wiped), or the stream
+        breaks.
         """
-        done = self.sim.event()
-        self.sim.process(self._serve_read_proc(block_id, reader, done),
-                         name=f"dn-read:{self.host}:{block_id}")
-        return done
+        return self.sim.process(self._serve_read_proc(block_id, reader),
+                                name=f"dn-read:{self.host}:{block_id}")
 
-    def _serve_read_proc(self, block_id: int, reader: str, done: Event):
+    def _serve_read_proc(self, block_id: int, reader: str):
         if self.state != Datanode.RUNNING or block_id not in self._blocks:
-            done.fail(BlockReadError(
+            raise expected_failure(self.sim, BlockReadError(
                 f"{self.host} cannot serve block {block_id} (state={self.state})"))
-            done.defused()
-            return
         block = self._blocks[block_id]
         start = self.sim.now
         try:
@@ -355,15 +351,13 @@ class Datanode:
             yield self.fabric.serve_stream(self.host, reader, block.size,
                                            self.disk)
         except (DiskIOError, TransferFailed) as exc:
-            done.fail(BlockReadError(str(exc)))
-            done.defused()
-            return
+            raise expected_failure(self.sim, BlockReadError(str(exc)))
         tr = self.namenode.tracer
         if tr is not None:
             tr.span("hdfs", f"read-b{block_id}", start, self.sim.now,
                     track=self.host, args={"to": reader,
                                            "bytes": block.size})
-        done.succeed(block)
+        return block
 
     def remove_block(self, block_id: int) -> None:
         """Invalidate a replica (namenode command): free its disk space."""

@@ -29,7 +29,7 @@ from ..sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
 from .config import HdfsConfig
-from .datanode import Datanode
+from .datanode import RECEIVE_FAILURES, Datanode
 from .placement import LiveHostIndex, SiteAwarePolicy
 
 __all__ = ["Namenode", "HdfsError"]
@@ -502,7 +502,7 @@ class Namenode:
             yield tgt_dn.receive_block(info.block, source,
                                        source_disk=src_dn.disk)
             self.counters.incr("replications_completed")
-        except Exception:
+        except RECEIVE_FAILURES:
             info.pending_targets.pop(target, None)
             self.counters.incr("replications_failed")
             if info.block.block_id in self._blocks and \

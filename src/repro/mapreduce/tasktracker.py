@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from ..hdfs.client import BlockUnavailableError, HdfsClient
-from ..hdfs.namenode import Namenode
+from ..hdfs.namenode import HdfsError, Namenode
 from ..net.fabric import NetworkFabric, TransferFailed
 from ..sim.engine import Simulator
 from ..sim.events import Interrupt
@@ -379,7 +379,7 @@ class TaskTracker:
                 yield self.hdfs.write_file(
                     out_name, out_bytes,
                     replication=self.config.output_replication)
-            except Exception as exc:
+            except (HdfsError, ValueError) as exc:
                 raise TaskExecutionError(f"output write failed: {exc}") from exc
         finally:
             job.unsubscribe_map_completed(on_output)

@@ -53,12 +53,12 @@ resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
 re-checks and re-aims), so slowdowns never allocate timers.
 
-**One departure test.**  A leaving demand frees capacity that can only
-move a survivor bottlenecked where it left: when every constraint it
-crossed stays unsaturated or has no survivor as fast as the leaver
-(``_departure_is_local``), no pass runs.  ``remove`` applies it to
-aborts; the completion fast path is the same test applied when a
-bottleneck timer fires on a constraint whose lone demand has drained.
+**Departures.**  An aborted demand (``remove``) marks its constraints
+dirty and the scheduled pass re-rates the survivors; a grouped one
+dissolves its group first.  A drained demand completing on its
+bottleneck timer skips the pass when its departure is provably local
+(``_departure_is_local``): every constraint it crossed stays
+unsaturated or has no survivor as fast as the leaver.
 
 **Region passes.**  Most dirty batches change a few rates inside a
 large component (shuffle fan-ins and replication pipelines chain many
@@ -109,7 +109,7 @@ from different float expressions (a region level is a residual after
 other freezes; a pin or a later pass computes the same level from
 another sum) and so differ in the last bit.  Every comparison that can
 *skip* re-rating — saturation and "rate-maximal" in the certificate,
-the departure and completion fast paths, and the runtime
+the completion fast path, and the runtime
 ``channel_max_min`` invariant — therefore uses one relative tolerance,
 :data:`TIE` (``x >= y * TIE``: x is at least y up to 1e-9).  An exact
 ``>=`` would judge a last-bit-slower survivor strictly slower than its
@@ -310,7 +310,8 @@ class _UniformGroup:
     Membership is *delta-driven*: a new demand whose constraints all lie
     inside the span (or are fresh and private) joins in O(log n) via
     :meth:`try_join` — no filling pass, no dissolve — and completions
-    leave through the clock heap.  Non-bottleneck span constraints may be
+    leave through the clock heap (an aborted member dissolves the group:
+    :meth:`FairQueue.remove`).  Non-bottleneck span constraints may be
     *shared* by several members as long as they stay slack at the current
     share; the tightest such limit is tracked in a lazy threshold heap,
     and the group dissolves itself the moment completions push the share
@@ -525,68 +526,6 @@ class _UniformGroup:
         self._thr_heap = []
         self._foreign = {}
 
-    def remove(self, demand: Demand) -> None:
-        """A member was aborted externally: leave in O(log members).
-
-        The mirror of :meth:`try_join` — preemption waves abort many
-        package downloads, and dissolving + re-filling a 10k-demand
-        component per departure is exactly the scan-per-event pattern
-        this PR removes.  The survivors' share rises; the group only
-        dissolves when that pushes it past a shared span constraint's
-        tolerance (checked against the lazy threshold heap)."""
-        members = self.members
-        if demand not in members:
-            demand._group = None
-            return
-        self._advance()
-        del members[demand]
-        demand.remaining = max(0.0, demand._group_key - self.drained)
-        demand._last_update = self.queue.sim.now
-        demand._group = None
-        counts = self.counts
-        for c in demand.constraints:
-            if c is self.constraint:
-                continue
-            k = counts.get(c)
-            if k is None:
-                continue
-            k -= 1
-            if k:
-                counts[c] = k
-                self._push_threshold(c, k)
-            else:
-                del counts[c]
-                # No member crosses this constraint any more: release
-                # ownership so arrivals there take the generic path (any
-                # foreign sharers get re-rated by the refresh below).
-                if c.group is self:
-                    c.group = None
-                if c in self._foreign:
-                    self.queue._dirty[c] = None
-                    self.queue._mark_dirty()
-                    del self._foreign[c]
-        if not members:
-            self.version += 1
-            self.armed_at = None
-            for c in self.span:
-                if c.group is self:
-                    c.group = None
-            self._foreign_refresh()
-            self.heap = []
-            self.counts = {}
-            self._thr_heap = []
-            self._foreign = {}
-            return
-        if self.constraint.capacity / len(members) > self._threshold():
-            for c in self.span:
-                self.queue._dirty[c] = None
-            self.dissolve()
-            self.queue._mark_dirty()
-            return
-        self.queue.uniform_leaves += 1
-        self._foreign_refresh()
-        self.rearm()
-
     def rearm(self) -> None:
         """Aim the group's single wake-up at the earliest finish."""
         heap, members = self.heap, self.members
@@ -705,8 +644,6 @@ class FairQueue:
         self.uniform_completions = 0
         #: Arrivals admitted into a live group without a filling pass.
         self.uniform_joins = 0
-        #: Aborted members that left a live group without a filling pass.
-        self.uniform_leaves = 0
         #: Filling passes that pinned a live group (members clock-rated,
         #: only the foreign sharers re-rated) instead of dissolving it.
         self.uniform_pins = 0
@@ -717,7 +654,8 @@ class FairQueue:
         self.region_expansions = 0
         #: Arrivals rated exactly from local residuals (no filling pass).
         self.arrival_fast_paths = 0
-        #: Departures proven local (freed capacity bound nobody: no pass).
+        #: Always 0 (every abort takes the scheduled pass); kept because
+        #: result readers still look the key up.
         self.departure_fast_paths = 0
         #: Bottleneck-timer completions resolved in place: the lone
         #: drained demand was unregistered and completed directly because
@@ -880,17 +818,17 @@ class FairQueue:
             demand.on_exit(demand)
 
     def remove(self, demand: Demand) -> None:
-        """Drop a live demand; survivors claim the freed capacity."""
-        if demand._group is not None:
-            demand._group.remove(demand)
-            self._unregister(demand)
-            return
-        rate = demand.rate
+        """Drop a live demand; the scheduled pass re-rates the survivors.
+
+        A grouped demand dissolves its group first: the survivors' share
+        rises, and the pass re-rates them like any other demands."""
+        group = demand._group
+        if group is not None:
+            for c in group.span:
+                self._dirty[c] = None
+            group.dissolve()
+            self._mark_dirty()
         self._unregister(demand)
-        if rate > 0.0 and not self._dirty and not self._pass_scheduled \
-                and self._departure_is_local(demand, rate):
-            self.departure_fast_paths += 1
-            return
         dirty = False
         for c in demand.constraints:
             if c.demands:
@@ -909,7 +847,8 @@ class FairQueue:
         whose fastest survivor is strictly slower than the leaver cannot
         be a survivor's bottleneck either (the bottleneck property needs
         rate >= every sharer, including the leaver).  ``demand`` itself is
-        skipped, so it may still be registered.  O(local neighborhood)."""
+        skipped: the completion fast path asks while it is still
+        registered.  O(local neighborhood)."""
         for c in demand.constraints:
             if c.group is not None:
                 return False  # pinned foreign load: let a pass re-rate

@@ -7,7 +7,7 @@ from typing import Any, List, Optional
 from .engine import Simulator
 from .events import Event
 
-__all__ = ["gather_safe", "Outcome"]
+__all__ = ["gather_safe", "Outcome", "expected_failure"]
 
 
 class Outcome:
@@ -22,6 +22,19 @@ class Outcome:
 
     def __repr__(self) -> str:
         return f"Outcome(ok={self.ok}, {'value=%r' % (self.value,) if self.ok else 'error=%r' % (self.error,)})"
+
+
+def expected_failure(sim: Simulator, exc: BaseException) -> BaseException:
+    """Defuse the running process and return ``exc`` for it to raise.
+
+    An operation whose process is its own completion event raises its
+    documented failures through this: such a failure does not crash the
+    run while nobody waits on the process yet (a balancer yields its
+    moves one at a time), and a waiter still gets ``exc`` thrown in.
+    Any other exception leaves the process armed, so it still crashes.
+    """
+    sim._active_proc._defused = True
+    return exc
 
 
 def gather_safe(sim: Simulator, events: List[Event]) -> Event:

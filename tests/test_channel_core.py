@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import FairQueue, Simulator
+from repro.sim.channel import TIE
 
 
 def reference_max_min(demand_links, capacities):
@@ -159,6 +160,11 @@ class TestAgainstBruteForceReference:
 
 def live_rate(d):
     return d.rate if d._group is None else d._group.share()
+
+
+def assert_tied(got, want):
+    """``got`` equals ``want`` up to float order (the channel's TIE)."""
+    assert got >= want * TIE and want >= got * TIE, (got, want)
 
 
 def run_region_harness(seed, n_ops):
@@ -591,7 +597,8 @@ class TestFillRescue:
 
 
 class TestSubComponentFastPaths:
-    """Arrival/departure re-rating without a filling pass, where exact."""
+    """Arrival re-rating without a filling pass where exact; departures
+    re-rate the survivors exactly."""
 
     def test_arrival_rated_from_residuals_without_a_pass(self):
         sim = Simulator()
@@ -618,9 +625,10 @@ class TestSubComponentFastPaths:
         assert a.rate == pytest.approx(50.0)
         assert b.rate == pytest.approx(50.0)
 
-    def test_departure_that_frees_nobody_skips_the_pass(self):
+    def test_departure_freeing_nobody_keeps_rates(self):
         """b leaves c1 saturated, but a is pinned by c2 and was strictly
-        slower — freeing b's share re-rates nobody, so no pass runs."""
+        slower: after the abort a keeps its max-min rate and finishes
+        when it would have."""
         sim = Simulator()
         q = FairQueue(sim)
         c1 = q.constraint("c1", 100.0)
@@ -628,12 +636,12 @@ class TestSubComponentFastPaths:
         a = q.submit(1e6, [c1, c2])
         b = q.submit(1e6, [c1])
         sim.run(until=1.0)
-        passes = q.rebalances
         q.abort(b, RuntimeError("cancelled"))
         sim.run(until=1.0)
-        assert q.departure_fast_paths == 1
-        assert q.rebalances == passes
-        assert a.rate == pytest.approx(30.0)
+        want = reference_max_min([[0, 1]], [100.0, 30.0])
+        assert_tied(live_rate(a), want[0])
+        sim.run(until=a.done)
+        assert_tied(sim.now, 1e6 / want[0])
 
     def test_departure_of_the_binding_demand_takes_a_pass(self):
         """a's exit unsaturates c2 and frees c1 capacity b can claim."""
@@ -930,12 +938,13 @@ class TestPartitionDecoupling:
 
 
 class TestGroupCoexistence:
-    """Uniform groups surviving member aborts and foreign traffic on
-    their span (the delta-leave and pinned-fill paths)."""
+    """Uniform groups under member aborts (the group dissolves and the
+    pass re-rates the survivors) and foreign traffic on their span (the
+    pinned-fill path)."""
 
-    def test_member_abort_leaves_group_without_dissolve(self):
-        """Aborting one member re-splits the clock share in place: no
-        dissolve, no filling pass, survivors complete at exact times."""
+    def test_member_abort_rerates_survivors_exactly(self):
+        """Aborting one member re-splits the share among the survivors,
+        who then complete at the exact reference times."""
         sim = Simulator()
         q = FairQueue(sim)
         src = q.constraint("src", 100.0)
@@ -948,17 +957,16 @@ class TestGroupCoexistence:
         sim.run(until=2.0)
         assert demands[0]._group is not None
         q.abort(demands[0], RuntimeError("preempted"))
-        assert q.uniform_leaves == 1
-        assert q.rebalances == 1  # formation pass only; the leave was O(log n)
-        assert demands[1]._group is not None
-        assert demands[1]._group.share() == pytest.approx(100.0 / 3)
+        sim.run(until=2.0)
+        want = reference_max_min([[0, i + 1] for i in range(3)],
+                                 [100.0] * 4)
+        for d, r in zip(demands[1:], want):
+            assert_tied(live_rate(d), r)
         # At t=2 each had drained 50 B; survivors now run the cascade
         # 150/33.3 -> 6.5, then 100/50 -> 8.5, then 100/100 -> 9.5.
-        done_at = []
-        for d in demands[1:]:
+        for d, t in zip(demands[1:], (6.5, 8.5, 9.5)):
             sim.run(until=d.done)
-            done_at.append(sim.now)
-        assert done_at == pytest.approx([6.5, 8.5, 9.5])
+            assert_tied(sim.now, t)
 
     def test_foreign_flow_coexists_with_pinned_group(self):
         """A foreign demand sharing a span constraint is rated into the

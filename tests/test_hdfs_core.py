@@ -15,7 +15,8 @@ from repro.hdfs import (
     stock_hadoop_config,
 )
 from repro.net import DnsSiteResolver, NetworkTopology
-from repro.storage import Disk
+from repro.sim.events import Process
+from repro.storage import Disk, DiskIOError
 
 from helpers import HdfsHarness
 
@@ -496,3 +497,86 @@ class TestOverReplication:
         info = h.namenode.block_info(block.block_id)
         assert info.live_replica_count == 2
         assert h.namenode.counters.get("replicas_invalidated") == 1
+
+
+class TestOperationProcesses:
+    """An HDFS operation returns its process, which is its completion
+    event: expected failures are defused, anything else still crashes."""
+
+    def test_receive_returns_its_process_with_the_block(self):
+        h = HdfsHarness(n_nodes=3, n_sites=1)
+        src, dst = h.hosts()[:2]
+        block = h.namenode.create_file("/f", 8 * MB).blocks[0]
+        ev = h.datanodes[dst].receive_block(block, src)
+        assert isinstance(ev, Process)
+        h.run(until=ev)
+        assert ev.value is block
+        assert dst in h.namenode.locate(block.block_id)
+
+    def test_waiter_gets_a_failure_that_landed_first(self):
+        """The balancer's pattern: moves are held and yielded one at a
+        time, so a later move may fail before anyone waits on it."""
+        h = HdfsHarness(n_nodes=4, n_sites=2)
+        src, slow, dead = h.hosts()[:3]
+        blocks = h.namenode.create_file("/f", 128 * MB).blocks
+        h.datanodes[dead].shutdown()
+        first = h.datanodes[slow].receive_block(blocks[0], src)
+        second = h.datanodes[dead].receive_block(blocks[1], src)
+        caught = []
+
+        def waiter():
+            yield first
+            assert second.processed and not second.ok
+            try:
+                yield second
+            except DiskIOError as exc:
+                caught.append(exc)
+
+        proc = h.sim.process(waiter())
+        h.run(until=proc)
+        assert len(caught) == 1
+
+    def test_bug_inside_a_receive_crashes_the_run(self, monkeypatch):
+        """Re-replication waits on the receive and catches only what a
+        receive fails with: a bug in the receive is not a failed copy."""
+        h = HdfsHarness(n_nodes=6, n_sites=3,
+                        config=hog_config(replication=3))
+        fi = h.client().preload_file("/f", 64 * MB, replication=3)
+        victim = h.namenode.locate(fi.blocks[0].block_id)[0]
+
+        def boom(block_id, host):
+            raise RuntimeError("bug in block_received")
+
+        monkeypatch.setattr(h.namenode, "block_received", boom)
+        h.datanodes[victim].kill()
+        with pytest.raises(RuntimeError, match="bug in block_received"):
+            h.run(until=300.0)
+
+    def test_bug_inside_a_pipeline_receive_crashes_the_run(self,
+                                                          monkeypatch):
+        """A write gathers every hop's outcome; a hop that failed with
+        anything but a receive failure is a bug, not a lost replica."""
+        h = HdfsHarness(n_nodes=6, n_sites=3)
+
+        def boom(block_id, host):
+            raise RuntimeError("bug in block_received")
+
+        monkeypatch.setattr(h.namenode, "block_received", boom)
+        ev = h.client().write_file("/f", 8 * MB, replication=2)
+        with pytest.raises(RuntimeError, match="bug in block_received"):
+            h.run(until=ev)
+
+    def test_bug_inside_a_read_serve_crashes_the_run(self, monkeypatch):
+        """A client read catches only what a serve fails with: a bug in
+        the serve is not a bad replica."""
+        h = HdfsHarness(n_nodes=6, n_sites=3)
+        client = h.client()
+        fi = client.preload_file("/f", 64 * MB, replication=2)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("bug in serve_stream")
+
+        monkeypatch.setattr(h.fabric, "serve_stream", boom)
+        ev = client.read_block(fi.blocks[0].block_id)
+        with pytest.raises(RuntimeError, match="bug in serve_stream"):
+            h.run(until=ev)

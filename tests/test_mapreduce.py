@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hdfs import hog_config
+from repro.hdfs import HdfsClient, hog_config
 from repro.mapreduce import (
     JobSpec,
     JobStatus,
@@ -204,6 +204,32 @@ class TestFailureRecovery:
         h.run_to_completion([job])
         assert job.status == JobStatus.SUCCEEDED
         assert h.jobtracker.counters.get("trackers_lost") == 1
+
+    def test_kill_during_output_write_is_not_a_failure(self, monkeypatch):
+        """A reduce killed while it writes its output (a lost node, a
+        losing speculative copy) is killed, not failed: the write's
+        waiter catches only what the write fails with."""
+        h = MRHarness(n_nodes=4, n_sites=2)
+        job = h.submit("killed-write", num_maps=2, num_reduces=1)
+        write_file = HdfsClient.write_file
+        killed = []
+
+        def kill_soon(attempt):
+            attempt.tracker.kill_attempt(attempt)
+            killed.append(attempt)
+
+        def writing(client, *args, **kwargs):
+            if not killed:
+                attempt = job.reduces[0].running_attempts[0]
+                assert attempt.process is h.sim.active_process
+                h.sim.call_soon(kill_soon, attempt)
+            return write_file(client, *args, **kwargs)
+
+        monkeypatch.setattr(HdfsClient, "write_file", writing)
+        h.run(until=600.0)
+        assert killed
+        assert h.jobtracker.counters.get("attempts_failed") == 0
+        assert job.reduces[0].failures == 0
 
     def test_completed_map_reexecuted_when_node_lost(self):
         # Kill a node after its maps are done but before the reduce
