@@ -27,7 +27,6 @@ from ..net.topology import DnsSiteResolver, FlatResolver, NetworkTopology
 from ..obs.registry import Registry
 from ..obs.trace import Tracer
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from ..sim.monitor import StepSeries
 from ..storage.disk import Disk
 from .config import HOGConfig
@@ -162,7 +161,6 @@ class HOGSystem:
         # sampled on a 5 s polling grid.
         self.jobtracker.tracker_count_listeners.append(
             lambda n: self.believed_series.record(self.sim.now, n))
-        self._sampler_started = False
         #: The unified metrics registry over every subsystem counter;
         #: consumers call ``hog.registry.snapshot()`` instead of plucking
         #: fields off live objects.
@@ -266,28 +264,10 @@ class HOGSystem:
         """Request ``target_nodes`` glideins and start all monitors."""
         self.factory.start()
         self.factory.set_target(target_nodes)
-        if not self._sampler_started:
-            self._sampler_started = True
-            self.sim.process(self._believed_sampler(), name="hog-believed-sampler")
 
     def set_target(self, n: int) -> None:
         """Elastically grow or shrink the node request (§IV-C)."""
         self.factory.set_target(n)
-
-    def _believed_sampler(self, period: float = 60.0):
-        """Coarse fallback recorder.
-
-        The believed series is recorded change-driven (see ``__init__``);
-        this loop only re-stamps the current value at a coarse period so
-        long quiet stretches still show up in exports.  It no longer drives
-        accuracy, so the period is 12x the old 5 s polling grid."""
-        try:
-            while True:
-                self.believed_series.record(
-                    self.sim.now, self.jobtracker.live_tracker_count())
-                yield self.sim.timeout(period)
-        except Interrupt:
-            return
 
     # -- run helpers ---------------------------------------------------------------------
     def run_until_nodes(self, n: int, timeout: float = 36_000.0) -> float:

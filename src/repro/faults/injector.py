@@ -1,8 +1,8 @@
 """The injector: executes a :class:`~repro.faults.plan.FaultPlan`.
 
-Pure sim-time machinery: one generator process replays the plan's events
+Pure sim-time machinery: a callback-timer chain replays the plan's events
 relative to the instant :meth:`Injector.start` is called, window restores
-are scheduled through simulator timeouts, and every victim choice is a
+are scheduled through simulator timers, and every victim choice is a
 deterministic function of system state (running pilots ordered by
 glidein id — i.e. longest-running first).  Identical seeds therefore
 produce identical fault streams, which the chaos harness asserts
@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..grid.glidein import Glidein
 from ..grid.site import GridSite
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from ..sim.monitor import CounterSet
 from .plan import FaultEvent, FaultPlan
 
@@ -36,7 +35,7 @@ class Injector:
         #: two runs with identical seeds produce identical streams.
         self.stream: List[dict] = []
         self._armed_at: Optional[float] = None
-        self._proc = None
+        self._stopped = False
         self._sites: Dict[str, GridSite] = {s.name: s for s in system.sites}
         # Window nesting depths so overlapping windows at one site compose
         # (the condition lifts only when the *last* open window closes).
@@ -51,15 +50,14 @@ class Injector:
     # -- control -----------------------------------------------------------
     def start(self) -> None:
         """Arm the plan: event times become relative to ``sim.now``."""
-        if self._proc is not None:
+        if self._armed_at is not None:
             raise RuntimeError("injector already started")
         self._armed_at = self.sim.now
-        self._proc = self.sim.process(self._run(), name="fault-injector")
+        self.sim.call_soon(self._replay, 0)
 
     def stop(self) -> None:
         """Cancel any not-yet-fired events (restores still run)."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("injector stopped")
+        self._stopped = True
 
     def summary(self) -> Dict[str, int]:
         """Counter snapshot plus the stream length."""
@@ -68,15 +66,22 @@ class Injector:
         return out
 
     # -- internals ---------------------------------------------------------
-    def _run(self):
-        try:
-            for ev in self.plan.events:
-                due = self._armed_at + ev.time
-                if due > self.sim.now:
-                    yield self.sim.timeout(due - self.sim.now)
-                self._fire(ev)
-        except Interrupt:
-            return
+    def _replay(self, i: int) -> None:
+        """Fire the due plan events from ``i`` on; sleep until the next."""
+        events = self.plan.events
+        while i < len(events):
+            due = self._armed_at + events[i].time
+            if due > self.sim.now:
+                self.sim.call_after(due - self.sim.now, self._wake, i)
+                return
+            self._fire(events[i])
+            i += 1
+
+    def _wake(self, i: int) -> None:
+        """Event ``i`` fell due: fire it, unless stopped while asleep."""
+        if not self._stopped:
+            self._fire(self.plan.events[i])
+            self._replay(i + 1)
 
     def _fire(self, ev: FaultEvent) -> None:
         site = self._sites.get(ev.site)

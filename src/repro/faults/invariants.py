@@ -227,9 +227,10 @@ class InvariantChecker:
         """Lazy heaps and namenode metadata stay linear in real state —
         generous slack, so only a genuine leak (e.g. a hot requeue loop
         pushing every tick) trips it.  The heartbeat heaps have no slack:
-        each holds one entry per live datanode / tasktracker.  The
-        parking change logs, marks and wake heaps trim themselves at
-        their bounds."""
+        each holds one entry per live datanode / tasktracker; nor have the
+        schedd queue and the factory's pilot map, which hold live (idle,
+        starting, running) pilots only.  The parking change logs, marks
+        and wake heaps trim themselves at their bounds."""
         nn = self.system.namenode
         jt = self.system.jobtracker
         sim = self.sim
@@ -257,6 +258,11 @@ class InvariantChecker:
              8 * blocks + 64),
             ("event heap", len(sim._heap), 4096 + 100 * nodes + 16 * blocks),
         ]
+        factory = getattr(self.system, "factory", None)
+        if factory is not None:
+            pilots = factory.pending_count() + factory.running_count()
+            checks.append(("schedd queue", len(factory.schedd._queue), pilots))
+            checks.append(("pilot map", len(factory._glideins), pilots))
         for name, size, bound in checks:
             if size > bound:
                 out.append(f"{name} size {size} exceeds bound {bound}")

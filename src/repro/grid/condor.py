@@ -131,11 +131,13 @@ class CondorSchedd:
     """
 
     def __init__(self) -> None:
-        self._queue: List = []  # Glidein objects
-        #: Submission-ordered view of the idle jobs (keyed by object
-        #: identity; only insertion order matters),
-        #: maintained event-driven via :meth:`job_left_idle` so each
-        #: negotiation cycle costs O(idle), not O(every job ever queued).
+        #: Jobs in the grid (idle, starting or running), keyed by object
+        #: identity in submission order; departures leave through
+        #: :meth:`job_changed`.
+        self._queue: Dict[int, object] = {}
+        #: Submission-ordered view of the idle jobs, maintained the same
+        #: way, so each negotiation cycle costs O(idle), not O(every job
+        #: ever queued).
         self._idle: Dict[int, object] = {}
         self._cluster_seq = 0
 
@@ -145,16 +147,19 @@ class CondorSchedd:
         self._cluster_seq += 1
         for g in glideins:
             g.cluster_id = self._cluster_seq
-            self._queue.append(g)
+            self._queue[id(g)] = g
             if g.state == CondorJobState.IDLE:
                 self._idle[id(g)] = g
         return self._cluster_seq
 
-    def job_left_idle(self, glidein) -> None:
-        """A queued job stopped being idle (matched or removed); states
-        never return to idle, so dropping it here keeps ``idle_jobs``
-        exact.  Safe to call for jobs that were never queued."""
+    def job_changed(self, glidein, gone: bool) -> None:
+        """A queued job stopped being idle, or left the grid (``gone``:
+        preempted, failed or removed).  States never return to idle, so
+        dropping it here keeps ``idle_jobs`` exact.  Safe to call for
+        jobs that were never queued."""
         self._idle.pop(id(glidein), None)
+        if gone:
+            self._queue.pop(id(glidein), None)
 
     def idle_jobs(self) -> List:
         """Jobs waiting to be matched (submission order)."""
@@ -162,12 +167,12 @@ class CondorSchedd:
 
     def running_jobs(self) -> List:
         """Jobs currently executing on some site."""
-        return [g for g in self._queue if g.state == CondorJobState.RUNNING]
+        return [g for g in self._queue.values()
+                if g.state == CondorJobState.RUNNING]
 
     def remove(self, glidein) -> None:
         """``condor_rm``: drop a job from the queue (kills it if running)."""
-        if glidein in self._queue:
-            self._queue.remove(glidein)
+        if self._queue.pop(id(glidein), None) is not None:
             glidein.removed()
 
     def __repr__(self) -> str:

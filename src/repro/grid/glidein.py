@@ -18,7 +18,7 @@ The :class:`GlideinFactory` combines the Condor negotiator and the
 GlideinWMS frontend: it matches idle pilots to whitelisted sites with free
 slots, maintains an elastic node-count target (resubmitting after
 preemptions — "the HOG system will automatically request more nodes from
-the OSG to compensate", §IV-B), and drives per-site preemption processes.
+the OSG to compensate", §IV-B), and drives per-site preemption clocks.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class Glidein:
         #: Opaque worker-node handle from the node factory.
         self.node = None
         self._startup_proc = None
-        self._lifetime_proc = None
 
     @property
     def state(self) -> str:
@@ -144,7 +143,6 @@ class Glidein:
         except TransferFailed:
             self.state = Glidein.FAILED
             self.site.detach(self)
-            self.factory._glidein_gone(self)
             return
         self.node = self.factory.node_start(self.hostname, self.site)
         self.state = Glidein.RUNNING
@@ -152,23 +150,24 @@ class Glidein:
         self.factory._node_count_changed()
         # Arm this node's preemption clock.
         if policy.preempt_rate > 0:
-            self._lifetime_proc = sim.process(
-                self._lifetime(), name=f"glidein-life:{self.glidein_id}")
+            sim.call_soon(self._lifetime)
 
     def _abort_startup(self) -> None:
         if self.site is not None:
             self.site.detach(self)
 
-    def _lifetime(self):
+    def _lifetime(self, _arg) -> None:
         """Exponential per-node preemption clock (§III-B1's per-node
-        hazard: over-allocated time or owner demand)."""
-        sim = self.factory.sim
-        rate = self.site.config.policy.preempt_rate
-        try:
-            yield sim.timeout(self.factory.rng.exponential(1.0 / rate))
-        except Interrupt:
-            return
-        self.preempt()
+        hazard: over-allocated time or owner demand).  The clock is
+        drawn even for a pilot that left in this instant, so the RNG
+        stream does not depend on it; a pilot that left before its clock
+        fires makes the fire a no-op (``preempt`` only evicts running
+        pilots, and no pilot returns to running)."""
+        factory = self.factory
+        delay = factory.rng.exponential(
+            1.0 / self.site.config.policy.preempt_rate)
+        if self.state == Glidein.RUNNING:
+            factory.sim.call_after(delay, self.preempt)
 
     def preempt(self, zombie: Optional[bool] = None) -> None:
         """The site evicts this pilot: kill the process tree, wipe the
@@ -180,18 +179,15 @@ class Glidein:
                 self._startup_proc.interrupt("preempted during startup")
             self.state = Glidein.PREEMPTED
             self.factory.counters.incr("glideins_preempted_starting")
-            self.factory._glidein_gone(self)
             return
         if self.state != Glidein.RUNNING:
             return
         self.state = Glidein.PREEMPTED
-        self._cancel_lifetime()
         self.site.detach(self)
         if zombie is None:
             zombie = not self.factory.wrapper.zombie_fix
         self.factory.node_preempt(self.node, zombie=zombie)
         self.factory.counters.incr("glideins_preempted")
-        self.factory._glidein_gone(self)
         self.factory._node_count_changed()
 
     def removed(self) -> None:
@@ -200,16 +196,10 @@ class Glidein:
             if self._startup_proc is not None and self._startup_proc.is_alive:
                 self._startup_proc.interrupt("removed")
         elif self.state == Glidein.RUNNING:
-            self._cancel_lifetime()
             self.site.detach(self)
             self.factory.node_shutdown(self.node)
             self.factory._node_count_changed()
         self.state = Glidein.REMOVED
-
-    def _cancel_lifetime(self) -> None:
-        if self._lifetime_proc is not None and self._lifetime_proc.is_alive:
-            self._lifetime_proc.interrupt("lifetime cancelled")
-        self._lifetime_proc = None
 
     def __repr__(self) -> str:
         where = f"@{self.site.name}" if self.site else ""
@@ -252,8 +242,8 @@ class GlideinFactory:
         self.wrapper.validate()
         self.negotiation_interval = negotiation_interval
         self._target = 0
-        #: Live + recently-departed pilots, submission-ordered (keyed by
-        #: glidein id so departures are O(1), not a list scan).
+        #: Live pilots, submission-ordered (keyed by glidein id so
+        #: departures are O(1), not a list scan).
         self._glideins: Dict[int, Glidein] = {}
         #: Event-maintained state tallies (updated by ``Glidein.state``'s
         #: setter) so count queries never scan the pilot list.
@@ -272,15 +262,14 @@ class GlideinFactory:
 
     # -- control ---------------------------------------------------------------
     def start(self) -> None:
-        """Start the negotiation loop and per-site burst processes."""
+        """Start the negotiation cycle and the per-site burst clocks."""
         if self._started:
             return
         self._started = True
-        self.sim.process(self._negotiation_loop(), name="glidein-factory")
+        self.sim.call_soon(self._negotiation_cycle)
         for site in self.sites:
             if site.config.policy.burst_rate > 0:
-                self.sim.process(self._burst_loop(site),
-                                 name=f"burst:{site.name}")
+                self.sim.call_soon(self._arm_burst, site)
 
     def set_target(self, n: int) -> None:
         """Elastically grow/shrink the requested worker-node count."""
@@ -307,9 +296,13 @@ class GlideinFactory:
             self._n_running += 1
         elif new in pending:
             self._n_pending += 1
-        if old == Glidein.IDLE:
-            # Keep the schedd's event-maintained idle view exact.
-            self.schedd.job_left_idle(glidein)
+        gone = new in (Glidein.PREEMPTED, Glidein.FAILED, Glidein.REMOVED)
+        if gone:
+            # A departed pilot leaves the bookkeeping; the next cycle
+            # resubmits.
+            self._glideins.pop(glidein.glidein_id, None)
+        if old == Glidein.IDLE or gone:
+            self.schedd.job_changed(glidein, gone)
 
     def running_count(self) -> int:
         """Glideins whose Hadoop daemons are up (O(1))."""
@@ -350,14 +343,10 @@ class GlideinFactory:
                                if e is not ev]
 
     # -- internals -------------------------------------------------------------------
-    def _negotiation_loop(self):
-        try:
-            while True:
-                self._reconcile()
-                self._negotiate()
-                yield self.sim.timeout(self.negotiation_interval)
-        except Interrupt:
-            return
+    def _negotiation_cycle(self, _arg) -> None:
+        self._reconcile()
+        self._negotiate()
+        self.sim.call_after(self.negotiation_interval, self._negotiation_cycle)
 
     def _reconcile(self) -> None:
         """Submit or remove pilots to track the target."""
@@ -399,33 +388,26 @@ class GlideinFactory:
             glidein.match(pick)
             self.counters.incr("glideins_matched")
 
-    def _burst_loop(self, site: GridSite):
-        """Site-wide simultaneous preemptions (higher-priority users)."""
+    def _arm_burst(self, site: GridSite) -> None:
         policy = site.config.policy
-        try:
-            while True:
-                yield self.sim.timeout(self.rng.exponential(1.0 / policy.burst_rate))
-                running = site.running_glideins()
-                if not running:
-                    continue
-                k = max(1, ceil(policy.burst_fraction * len(running)))
-                idx = self.rng.choice(len(running), size=min(k, len(running)),
-                                      replace=False)
-                self.counters.incr("preemption_bursts")
-                tr = self.tracer
-                if tr is not None:
-                    tr.instant("grid", "preemption-burst", self.sim.now,
-                               track=site.name, args={"evicted": len(idx)})
-                for i in idx:
-                    running[int(i)].preempt()
-        except Interrupt:
-            return
+        self.sim.call_after(self.rng.exponential(1.0 / policy.burst_rate),
+                            self._burst, site)
 
-    def _glidein_gone(self, glidein: Glidein) -> None:
-        """A pilot left the system; the next cycle will resubmit."""
-        if glidein.state in (Glidein.PREEMPTED, Glidein.FAILED,
-                             Glidein.REMOVED):
-            self._glideins.pop(glidein.glidein_id, None)
+    def _burst(self, site: GridSite) -> None:
+        """Site-wide simultaneous preemptions (higher-priority users)."""
+        running = site.running_glideins()
+        if running:
+            k = max(1, ceil(site.config.policy.burst_fraction * len(running)))
+            idx = self.rng.choice(len(running), size=min(k, len(running)),
+                                  replace=False)
+            self.counters.incr("preemption_bursts")
+            tr = self.tracer
+            if tr is not None:
+                tr.instant("grid", "preemption-burst", self.sim.now,
+                           track=site.name, args={"evicted": len(idx)})
+            for i in idx:
+                running[int(i)].preempt()
+        self._arm_burst(site)
 
     def _node_count_changed(self) -> None:
         count = self.running_count()

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from .glidein import Glidein, GlideinFactory
 
 __all__ = ["PreemptionEvent", "PreemptionTrace", "TraceRecorder", "TraceDriver"]
@@ -115,24 +114,32 @@ class TraceDriver:
         self.trace = trace
         #: Events that found no running glidein to evict.
         self.skipped = 0
-        self._proc = None
+        self._start: Optional[float] = None
+        self._stopped = False
 
     def start(self) -> None:
         """Begin replaying (from the current simulation time)."""
-        if self._proc is not None:
+        if self._start is not None:
             raise RuntimeError("trace driver already started")
-        self._proc = self.sim.process(self._run(), name="preemption-trace")
+        self._start = self.sim.now
+        self.sim.call_soon(self._replay, 0)
 
-    def _run(self):
-        start = self.sim.now
-        try:
-            for event in self.trace.events:
-                when = start + event.time
-                if when > self.sim.now:
-                    yield self.sim.timeout(when - self.sim.now)
-                self._fire(event)
-        except Interrupt:
-            return
+    def _replay(self, i: int) -> None:
+        """Fire the due trace events from ``i`` on; sleep until the next."""
+        events = self.trace.events
+        while i < len(events):
+            when = self._start + events[i].time
+            if when > self.sim.now:
+                self.sim.call_after(when - self.sim.now, self._wake, i)
+                return
+            self._fire(events[i])
+            i += 1
+
+    def _wake(self, i: int) -> None:
+        """Event ``i`` fell due: fire it, unless stopped while asleep."""
+        if not self._stopped:
+            self._fire(self.trace.events[i])
+            self._replay(i + 1)
 
     def _fire(self, event: PreemptionEvent) -> None:
         site = next((s for s in self.factory.sites if s.name == event.site),
@@ -150,5 +157,4 @@ class TraceDriver:
 
     def stop(self) -> None:
         """Abort the replay."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("trace stopped")
+        self._stopped = True

@@ -19,12 +19,12 @@ availability until the datanode's disk self-check (if enabled) kills it.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
-from ..sim.events import Interrupt
 from ..sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 from ..sim.monitor import CounterSet
 from .block import Block, BlockInfo, FileInfo
@@ -110,29 +110,29 @@ class Namenode:
 
     # -- monitors ---------------------------------------------------------------
     def start(self) -> None:
-        """Start the heartbeat and replication monitor loops."""
+        """Start the heartbeat and replication monitors."""
         if self._monitors_started:
             return
         self._monitors_started = True
-        self.sim.process(self._heartbeat_monitor(), name="nn-hb-monitor")
-        self.sim.process(self._replication_monitor(), name="nn-repl-monitor")
+        self.sim.call_soon(self._arm_heartbeat_monitor)
+        self.sim.call_soon(self._arm_replication_monitor)
 
-    def _heartbeat_monitor(self):
-        try:
-            while True:
-                yield self.sim.timeout(self.config.heartbeat_recheck_period)
-                for desc in self.liveness.expire(self.sim.now):
-                    self._declare_dead(desc)
-        except Interrupt:
-            return
+    def _arm_heartbeat_monitor(self, _arg=None) -> None:
+        self.sim.call_after(self.config.heartbeat_recheck_period,
+                            self._heartbeat_monitor)
 
-    def _replication_monitor(self):
-        try:
-            while True:
-                yield self.sim.timeout(self.config.replication_monitor_period)
-                self._schedule_replication_work()
-        except Interrupt:
-            return
+    def _heartbeat_monitor(self, _arg) -> None:
+        for desc in self.liveness.expire(self.sim.now):
+            self._declare_dead(desc)
+        self._arm_heartbeat_monitor()
+
+    def _arm_replication_monitor(self, _arg=None) -> None:
+        self.sim.call_after(self.config.replication_monitor_period,
+                            self._replication_monitor)
+
+    def _replication_monitor(self, _arg) -> None:
+        self._schedule_replication_work()
+        self._arm_replication_monitor()
 
     # -- datanode protocol ---------------------------------------------------------
     def register_datanode(self, datanode: Datanode) -> None:
@@ -472,8 +472,16 @@ class Namenode:
                     capped = True  # per-source stream throttle hit
                     break
                 info.pending_targets[tgt] = None
-                self.sim.process(self._replicate(info, src, tgt),
-                                 name=f"nn-repl:{bid}->{tgt}")
+                # Count the stream at launch, so the cap holds within
+                # this loop.  One joint demand over source disk read +
+                # network path + target disk write, like a real copy.
+                src_dn = self._nodes[src].member
+                src_dn.active_repl_streams += 1
+                self.counters.incr("replications_started")
+                self._nodes[tgt].member.receive_block(
+                    info.block, src, source_disk=src_dn.disk
+                ).callbacks.append(
+                    partial(self._replicated, info, src_dn, tgt))
                 scheduled += 1
                 launched += 1
             if launched == 0 and not capped:
@@ -489,28 +497,22 @@ class Namenode:
         for bid in blocked:
             self._defer_replication(bid)
 
-    def _replicate(self, info: BlockInfo, source: str, target: str):
-        """Copy one replica source→target; bookkeeping on either outcome."""
-        self.counters.incr("replications_started")
-        src_dn = self._nodes[source].member
-        tgt_dn = self._nodes[target].member
-        src_dn.active_repl_streams += 1
-        try:
-            # One joint demand over source disk read + network path +
-            # target disk write: re-replication contends with live shuffle
-            # serves and reads at the source, like a real copy.
-            yield tgt_dn.receive_block(info.block, source,
-                                       source_disk=src_dn.disk)
+    def _replicated(self, info: BlockInfo, src_dn: Datanode, target: str,
+                    proc) -> None:
+        """Bookkeeping when a re-replication receive finishes.  Only
+        :data:`RECEIVE_FAILURES` count as a failed copy; anything else
+        stays undefused and crashes the run."""
+        src_dn.active_repl_streams -= 1
+        if proc._ok:
             self.counters.incr("replications_completed")
-        except RECEIVE_FAILURES:
+        elif isinstance(proc._value, RECEIVE_FAILURES):
             info.pending_targets.pop(target, None)
             self.counters.incr("replications_failed")
-            if info.block.block_id in self._blocks and \
-               info.live_replica_count < self._replication_target(info.block.block_id):
-                self._needed[info.block.block_id] = None
-                self._queue_replication(info.block.block_id, info)
-        finally:
-            src_dn.active_repl_streams -= 1
+            bid = info.block.block_id
+            if bid in self._blocks and \
+                    info.live_replica_count < self._replication_target(bid):
+                self._needed[bid] = None
+                self._queue_replication(bid, info)
 
     def _is_usable_source(self, host: str) -> bool:
         desc = self._nodes.get(host)

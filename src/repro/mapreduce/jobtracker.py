@@ -27,7 +27,7 @@ from ..hdfs.block import Block
 from ..hdfs.namenode import Namenode
 from ..net.topology import NetworkTopology
 from ..sim.engine import Simulator
-from ..sim.events import Event, Interrupt
+from ..sim.events import Event
 from ..sim.liveness import Descriptor, HeartbeatClock, LivenessTable
 from ..sim.monitor import CounterSet
 from .config import MRConfig
@@ -209,27 +209,27 @@ class JobTracker:
         if self._monitor_started:
             return
         self._monitor_started = True
-        self.sim.process(self._expiry_monitor(), name="jt-expiry-monitor")
+        self.sim.call_soon(self._arm_expiry_monitor)
 
-    def _expiry_monitor(self):
-        try:
-            while True:
-                yield self.sim.timeout(self.config.expiry_check_period)
-                for desc in self.liveness.expire(self.sim.now):
-                    self._lost_tracker(desc)
-                # Safety net: a task whose every attempt died without a
-                # failure report (a live tracker replaced in place) must
-                # return to the pending queue.  Only that replacement path
-                # orphans attempts silently, so the scan is gated on it.
-                if self._needs_orphan_scan:
-                    self._needs_orphan_scan = False
-                    for job in self.active_jobs():
-                        for task in list(job.running_map_tasks):
-                            self._requeue_if_needed(task)
-                        for task in list(job.running_reduce_tasks):
-                            self._requeue_if_needed(task)
-        except Interrupt:
-            return
+    def _arm_expiry_monitor(self, _arg=None) -> None:
+        self.sim.call_after(self.config.expiry_check_period,
+                            self._expiry_monitor)
+
+    def _expiry_monitor(self, _arg) -> None:
+        for desc in self.liveness.expire(self.sim.now):
+            self._lost_tracker(desc)
+        # Safety net: a task whose every attempt died without a failure
+        # report (a live tracker replaced in place) must return to the
+        # pending queue.  Only that replacement path orphans attempts
+        # silently, so the scan is gated on it.
+        if self._needs_orphan_scan:
+            self._needs_orphan_scan = False
+            for job in self.active_jobs():
+                for task in list(job.running_map_tasks):
+                    self._requeue_if_needed(task)
+                for task in list(job.running_reduce_tasks):
+                    self._requeue_if_needed(task)
+        self._arm_expiry_monitor()
 
     # -- tracker protocol ------------------------------------------------------------
     def _tracker_count_changed(self) -> None:

@@ -234,7 +234,13 @@ class ScenarioResult:
         too: the payload must be byte-identical with telemetry off, on,
         and at any sampling cadence.
         """
-        d = self.to_dict()
+        return self.payload_of(self.to_dict())
+
+    @staticmethod
+    def payload_of(record: dict) -> dict:
+        """:meth:`payload` of a :meth:`to_dict` record (e.g. one shipped
+        back by a worker process)."""
+        d = dict(record)
         d.pop("wall_seconds")
         d.pop("events_per_second")
         d.pop("timelines")

@@ -1,8 +1,9 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` owns simulated time and the event heap.  All daemons in
-the reproduction (datanodes, tasktrackers, the glidein factory, preemption
-processes, ...) are generator processes driven by one simulator instance.
+:class:`Simulator` owns simulated time and the event heap.  Bodies that
+wait more than once in sequence, or that someone waits on (task attempts,
+pilot startups, HDFS operations), are generator processes; daemon
+cadences are callback-timer chains.  One simulator drives them all.
 
 Example
 -------

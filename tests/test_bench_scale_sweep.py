@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -133,3 +135,58 @@ class TestParkingGate:
                 "control": {"park_ties": 2}}
         assert bench._check_parking(
             {"points": [clean], "scenarios": {"blackout": tied}}) == 1
+
+
+class TestScenarioSectionTiming:
+    """The coverage section times each scenario as the fastest of its
+    runs, and the runs must agree on the simulation payload."""
+
+    @staticmethod
+    def _record(name, wall, makespan=100.0):
+        return {"scenario": name, "nodes": 40, "wall_seconds": wall,
+                "events_per_second": round(1000 / wall), "events": 1000,
+                "makespan_seconds": makespan, "failed_jobs": 0,
+                "control": {"park_ties": 0}, "timelines": None,
+                "engine": None, "trace": None, "invariants": None,
+                "phases": [{"name": "ramp", "sim_seconds": 5.0,
+                            "wall_seconds": wall}]}
+
+    def _fake_runs(self, monkeypatch, bench, walls, makespans=None):
+        calls = []
+
+        def fake(specs, workers):
+            calls.append(len(specs))
+            out = []
+            for k, spec in enumerate(specs):
+                i = k % len(walls)
+                out.append(self._record(
+                    spec.name, walls[i],
+                    makespans[i] if makespans else 100.0))
+            return out
+        monkeypatch.setattr(bench, "run_specs_parallel", fake)
+        return calls
+
+    def test_fastest_of_three_runs_is_kept(self, monkeypatch):
+        bench = _load_bench_module()
+        calls = self._fake_runs(monkeypatch, bench, [2.4, 1.5, 1.9])
+        section = bench.run_scenario_section(40, 0.05, 0)
+        names = bench.registry.names()
+        assert calls == [3 * len(names)]
+        assert list(section) == list(names)
+        for name, rec in section.items():
+            assert rec["scenario"] == name
+            assert rec["wall_seconds"] == 1.5
+
+    def test_one_run_when_asked(self, monkeypatch):
+        bench = _load_bench_module()
+        calls = self._fake_runs(monkeypatch, bench, [2.4])
+        section = bench.run_scenario_section(40, 0.05, 0, runs=1)
+        assert calls == [len(bench.registry.names())]
+        assert all(r["wall_seconds"] == 2.4 for r in section.values())
+
+    def test_runs_that_disagree_fail(self, monkeypatch):
+        bench = _load_bench_module()
+        self._fake_runs(monkeypatch, bench, [2.4, 1.5, 1.9],
+                        makespans=[100.0, 100.0, 101.0])
+        with pytest.raises(RuntimeError, match="different payloads"):
+            bench.run_scenario_section(40, 0.05, 0)

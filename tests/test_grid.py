@@ -7,12 +7,15 @@ import pytest
 from repro.grid import (
     PAPER_SITES,
     CondorSchedd,
+    Glidein,
+    GlideinFactory,
     GridSite,
     GridSiteConfig,
     SitePolicy,
     SubmissionFile,
     WrapperConfig,
 )
+from repro.sim import Simulator
 
 
 class TestSubmissionFile:
@@ -166,3 +169,81 @@ class TestCondorSchedd:
         schedd.remove(j)  # no longer queued: a second condor_rm is a no-op
         assert j.removals == 1
         assert j.state == "removed"
+
+
+def make_factory(preempt_rate=0.0, capacity=8, seed=0):
+    """A factory over one site with an instant wrapper (no package
+    download); node callbacks only log what reached the worker nodes."""
+    sim = Simulator()
+    policy = SitePolicy(preempt_rate=preempt_rate, scheduling_delay_mean=0.0)
+    site = GridSite(GridSiteConfig("S0", "site0.edu", capacity, policy))
+    log = {"preempt": [], "shutdown": []}
+    factory = GlideinFactory(
+        sim, CondorSchedd(), [site], fabric=None,
+        rng=np.random.default_rng(seed),
+        node_start=lambda host, site: host,
+        node_preempt=lambda node, zombie: log["preempt"].append(node),
+        node_shutdown=lambda node: log["shutdown"].append(node),
+        wrapper=WrapperConfig(package_bytes=0, init_env_time=0.0,
+                              daemon_start_time=0.0),
+        negotiation_interval=10.0)
+    return sim, factory, log
+
+
+class TestPilotLifetime:
+    """A pilot that left before its preemption clock fires is never
+    preempted by that clock (mean lifetime 100 s; the runs below last
+    100 lifetimes)."""
+
+    def _running_pilot(self):
+        sim, factory, log = make_factory(preempt_rate=0.01)
+        factory.start()
+        factory.set_target(1)
+        sim.run(until=1.0)
+        (pilot,) = factory.glideins()
+        assert pilot.state == Glidein.RUNNING
+        return sim, factory, log, pilot
+
+    def test_burst_preempted_pilot_is_counted_once(self):
+        sim, factory, log, pilot = self._running_pilot()
+        factory.set_target(0)
+        pilot.preempt()  # what a preemption burst does to its victims
+        sim.run(until=10_000.0)
+        assert pilot.state == Glidein.PREEMPTED
+        assert factory.counters.get("glideins_preempted") == 1
+        assert log["preempt"] == [pilot.hostname]
+
+    def test_removed_pilot_is_never_preempted(self):
+        sim, factory, log, pilot = self._running_pilot()
+        factory.set_target(0)  # the next cycle condor_rm's the pilot
+        sim.run(until=10_000.0)
+        assert pilot.state == Glidein.REMOVED
+        assert factory.counters.get("glideins_preempted") == 0
+        assert log["preempt"] == []
+        assert log["shutdown"] == [pilot.hostname]
+
+
+class TestPilotBookkeeping:
+    """Departed pilots leave the schedd queue and the factory's pilot
+    map: both stay bounded by the live pilots under churn."""
+
+    def test_departed_pilots_leave_queue_and_factory(self):
+        sim, factory, _log = make_factory(preempt_rate=0.01)
+        factory.start()
+        factory.set_target(6)
+        sim.run(until=2_000.0)
+        preempted = factory.counters.get("glideins_preempted")
+        assert preempted > 20
+        live = factory.pending_count() + factory.running_count()
+        assert len(factory.schedd._queue) == live
+        assert len(factory._glideins) == live
+        # Elastic shrink: removed pilots leave both too.
+        factory.set_target(2)
+        sim.run(until=sim.now + 15.0)
+        assert factory.counters.get("glideins_removed") > 0
+        live = factory.pending_count() + factory.running_count()
+        assert live <= 2
+        assert len(factory.schedd._queue) == live
+        assert len(factory._glideins) == live
+        assert set(factory._glideins.values()) == \
+            set(factory.schedd._queue.values())

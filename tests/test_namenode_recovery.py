@@ -7,7 +7,9 @@ Three failure shapes the fault engine leans on:
 - the terminal lost-set (a block with zero live replicas leaves the
   repair queue and is resurrected only by a replica resurfacing);
 - the read-failure / dead-node → re-replication → ``block_received``
-  pipeline under an injected disk failure.
+  pipeline under an injected disk failure;
+- the per-source replication stream cap (``dfs.max-repl-streams``),
+  which must hold within one monitor tick.
 """
 
 import pytest
@@ -165,3 +167,33 @@ class TestReadFailureAndDiskDeath:
         assert nn.counters.get("replications_started") >= 1
         assert nn.counters.get("replications_completed") >= 1
         assert nn.under_replicated_count() == 0
+
+
+class TestReplicationStreamCap:
+    def test_one_tick_launches_at_most_the_cap_per_source(self):
+        """One live source, four replicas missing, cap 2: the first
+        monitor tick launches two copies and re-queues the block (the
+        cap used to count a stream only once its copy had started, after
+        the tick's loop, so all four launched)."""
+        h = HdfsHarness(n_nodes=8, config=hog_config(
+            replication=1, max_replication_streams=2,
+            disk_check_interval=None, block_report_interval=None))
+        nn = h.namenode
+        fi = h.client().preload_file("/f", 64 * MB)
+        bid = fi.blocks[0].block_id
+        (host,) = nn.locate(bid)
+        source = h.datanodes[host]
+        # What a setrep to 5 does: the block is four replicas short.
+        fi.replication = 5
+        nn._needed[bid] = None
+        nn._queue_replication(bid)
+        h.sim.run(until=nn.config.replication_monitor_period)
+        assert nn.counters.get("replications_started") == 2
+        assert source.active_repl_streams == 2
+        assert len(nn.block_info(bid).pending_targets) == 2
+        assert bid in nn._repl_prio  # the rest of the block is re-queued
+        # The copies land and the re-queued remainder follows.
+        h.sim.run(until=120.0)
+        assert nn.block_info(bid).live_replica_count == 5
+        assert source.active_repl_streams == 0
+        assert nn.counters.get("replications_completed") == 4
