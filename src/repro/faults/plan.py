@@ -3,13 +3,13 @@
 A :class:`FaultPlan` is the declarative half of the fault engine: a
 sorted list of :class:`FaultEvent` records, each naming a *kind*, a
 target site, and (for windowed kinds) a duration.  Plans round-trip
-through plain lists of dicts / JSON exactly like
-:class:`~repro.grid.preemption.PreemptionTrace`, so a scenario's fault
-schedule can be catalogued, diffed, and replayed byte-for-byte.
+through plain lists of dicts / JSON, so a scenario's fault schedule can
+be catalogued, diffed, and replayed byte-for-byte.  It is the one pinned
+fault schedule: preemption waves (``churn_heavy``'s diurnal sweep among
+them) are ``node_wave`` events.
 
 Times are sim-seconds **relative to the instant the injector is armed**
-(the runner arms it when the cluster finishes ramping), mirroring the
-preemption-trace convention.
+(the runner arms it when the cluster finishes ramping).
 
 Event kinds
 -----------
@@ -28,10 +28,11 @@ Event kinds
     ``value=0``) is the hard form: cross-site transfers touching the
     site fail fast for the window.
 ``node_wave``
-    A correlated failure wave, layered on whatever ``PreemptionTrace``
-    churn is already running: the ``count`` longest-running pilots at the
-    site are preempted at once.  ``mode="zombie"`` forces the §IV-D1
-    double-fork outcome.
+    A correlated failure wave, layered on whatever stochastic churn the
+    site policy already runs: the ``count`` longest-running pilots at the
+    site are preempted at once.  The default mode follows the wrapper's
+    zombie fix; ``mode="zombie"`` forces the §IV-D1 double-fork outcome
+    and ``mode="preempt"`` a clean eviction.
 ``disk_fail``
     ``count`` per-datanode disk failures at the site: the media dies
     under a running daemon (reads/writes start failing; with the HOG

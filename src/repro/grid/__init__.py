@@ -3,7 +3,6 @@ and preemption."""
 
 from .condor import CondorJobState, CondorSchedd, SubmissionFile
 from .glidein import Glidein, GlideinFactory, WrapperConfig
-from .preemption import PreemptionEvent, PreemptionTrace, TraceDriver, TraceRecorder
 from .site import PAPER_SITES, GridSite, GridSiteConfig, SitePolicy
 
 __all__ = [
@@ -17,8 +16,4 @@ __all__ = [
     "GridSiteConfig",
     "SitePolicy",
     "PAPER_SITES",
-    "PreemptionEvent",
-    "PreemptionTrace",
-    "TraceRecorder",
-    "TraceDriver",
 ]

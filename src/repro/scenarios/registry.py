@@ -28,8 +28,8 @@ Built-ins
     HDFS balancer *concurrently* with the job stream — block migrations
     are rated jointly against live shuffle traffic at both endpoints.
 ``churn_heavy``
-    Pinned diurnal preemption waves (a deterministic trace) sweeping
-    site after site, on top of mild background churn.
+    Pinned diurnal preemption waves (``node_wave`` fault-plan events)
+    sweeping site after site, on top of mild background churn.
 ``blackout``
     A full-site connectivity blackout mid-workload that heals before the
     run ends: the namenode re-replicates around the dark site, then the
@@ -48,7 +48,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.config import NodeConfig
 from ..faults.plan import FaultEvent, FaultPlan
-from ..grid.preemption import PreemptionEvent, PreemptionTrace
 from ..grid.site import PAPER_SITE_DOMAINS, PAPER_SITE_NAMES, SitePolicy
 from ..hdfs.config import GB
 from . import calibration
@@ -219,10 +218,10 @@ def rebalance_under_load(n_nodes: Optional[int] = None,
     )
 
 
-def diurnal_trace(n_nodes: int, n_sites: int = 5,
+def diurnal_waves(n_nodes: int, n_sites: int = 5,
                   wave_period: float = 900.0, n_waves: int = 24,
-                  victim_fraction: float = 0.3) -> PreemptionTrace:
-    """Deterministic diurnal preemption waves.
+                  victim_fraction: float = 0.3) -> FaultPlan:
+    """Deterministic diurnal preemption waves, as ``node_wave`` events.
 
     Every ``wave_period`` seconds one site (rotating round-robin) evicts
     ``victim_fraction`` of the scenario's per-site node share — the
@@ -230,31 +229,29 @@ def diurnal_trace(n_nodes: int, n_sites: int = 5,
     beyond the run's end simply never fire.
     """
     per_site = max(1, int(round(victim_fraction * n_nodes / n_sites)))
-    events = [
-        PreemptionEvent(time=(w + 1) * wave_period,
-                        site=PAPER_SITE_NAMES[w % n_sites],
-                        count=per_site)
+    return FaultPlan([
+        FaultEvent(time=(w + 1) * wave_period, kind="node_wave",
+                   site=PAPER_SITE_NAMES[w % n_sites], count=per_site)
         for w in range(n_waves)
-    ]
-    return PreemptionTrace(events)
+    ])
 
 
 @register("churn_heavy")
 def churn_heavy(n_nodes: Optional[int] = None,
                 scale: Optional[float] = None,
                 seed: int = 0) -> ScenarioSpec:
-    """Diurnal preemption waves (pinned trace) over background churn."""
+    """Diurnal preemption waves (pinned plan) over background churn."""
     n = n_nodes or 55
     return ScenarioSpec(
         name="churn_heavy",
-        description="A pinned trace of diurnal preemption waves sweeps "
+        description="A pinned plan of diurnal preemption waves sweeps "
                     "the sites round-robin on top of mild background "
                     "churn — the deterministic heavy-fluctuation regime "
                     "of Figure 5c.",
         cluster=ClusterSpec(n_nodes=n, ramp_fraction=0.95),
         workload=WorkloadSpec(scale=scale or 1.0),
         faults=FaultSpec(policy=calibration.stable_policy(),
-                         trace=diurnal_trace(n)),
+                         plan=diurnal_waves(n)),
         seed=seed,
     )
 

@@ -7,7 +7,7 @@ from its declarative :class:`~repro.scenarios.spec.ScenarioSpec`:
 1. build the :class:`~repro.core.hog.HOGSystem` (per-site hardware tiers
    and WAN caps applied),
 2. ramp to the node target (event-driven, §IV-A protocol),
-3. arm the fault model (pinned trace replay and/or stochastic policy),
+3. arm the fault model (pinned fault plan and/or stochastic policy),
 4. preload the workload inputs,
 5. optionally grow the cluster elastically and start a concurrent HDFS
    balancer run (§IV-C),
@@ -35,7 +35,6 @@ from ..core.hog import PARK_KEYS, HOGSystem
 from ..faults.injector import Injector
 from ..faults.invariants import InvariantChecker
 from ..grid.glidein import WrapperConfig
-from ..grid.preemption import TraceDriver
 from ..grid.site import SitePolicy, sites_with_policy
 from ..hdfs.balancer import Balancer
 from ..hdfs.config import hog_config
@@ -161,7 +160,7 @@ class ScenarioResult:
     #: Map-launch locality histogram summed over jobs.
     locality: Dict[str, int] = field(default_factory=dict)
     #: Glidein provisioning/preemption counters (the registry's ``grid``
-    #: namespace, plus the trace driver's skip count when one ran).
+    #: namespace).
     preemptions: Dict[str, int] = field(default_factory=dict)
     failed_jobs: int = 0
     jobs_completed: int = 0
@@ -303,8 +302,8 @@ class ScenarioRunner:
         c = spec.cluster
         policy = spec.faults.policy
         if policy is None:
-            if spec.faults.trace is not None or spec.faults.plan is not None:
-                # A pinned trace/plan with no stochastic policy: churn-free
+            if spec.faults.plan is not None:
+                # A pinned plan with no stochastic policy: churn-free
                 # sites, the pinned events are the only fault source.
                 policy = SitePolicy()
             else:
@@ -387,13 +386,8 @@ class ScenarioRunner:
         hog.run_until_nodes(ramp_target, timeout=spec.timeout)
         phase("ramp", t0, s0)
 
-        # 2. Pinned fault replay starts once the cluster is up: the
-        # preemption trace and the typed fault plan arm at the same
-        # instant, so their event times share one origin.
-        driver: Optional[TraceDriver] = None
-        if spec.faults.trace is not None:
-            driver = TraceDriver(sim, hog.factory, spec.faults.trace)
-            driver.start()
+        # 2. The pinned fault plan arms once the cluster is up: its event
+        # times count from the end of the ramp.
         if spec.faults.plan is not None:
             self.injector = Injector(sim, hog, spec.faults.plan)
             self.injector.start()
@@ -481,9 +475,6 @@ class ScenarioRunner:
         # One registry snapshot replaces the old per-section hand-plucking;
         # the sections below are its namespaces verbatim.
         snap = hog.registry.snapshot()
-        preempt = snap["grid"]
-        if driver is not None:
-            preempt["trace_events_skipped"] = driver.skipped
         # Fired probe/checker ticks are engine events too; subtract them
         # so the reported event count is identical at any cadence.
         events = sim.events_processed
@@ -507,7 +498,7 @@ class ScenarioRunner:
             control=snap["control"],
             hdfs=snap["hdfs"],
             locality=self.workload.locality,
-            preemptions=preempt,
+            preemptions=snap["grid"],
             failed_jobs=self.workload.failed_jobs,
             jobs_completed=sum(len(v) for v in
                                self.workload.bin_responses.values()),

@@ -5,8 +5,8 @@ and measure one workload on it, as *data*: cluster shape (node counts,
 per-site hardware tiers, per-site WAN uplink caps), workload (Facebook
 loadgen parameters or an explicit pinned
 :class:`~repro.workload.schedule.SubmissionSchedule`), fault model
-(stochastic :class:`~repro.grid.site.SitePolicy` or a pinned
-:class:`~repro.grid.preemption.PreemptionTrace`), scheduler choice, and
+(stochastic :class:`~repro.grid.site.SitePolicy` and/or a pinned
+:class:`~repro.faults.plan.FaultPlan`), scheduler choice, and
 optional scenario phases (elastic growth, a concurrent HDFS balancer run).
 
 Specs round-trip through plain dicts / JSON (:meth:`ScenarioSpec.to_dict`
@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 from ..core.config import NodeConfig
 from ..faults.plan import FaultPlan
 from ..grid.glidein import WrapperConfig
-from ..grid.preemption import PreemptionEvent, PreemptionTrace
 from ..grid.site import SitePolicy
 from ..hdfs.config import HdfsConfig
 from ..mapreduce.config import MRConfig
@@ -67,16 +66,6 @@ def _schedule_from_dict(d: Optional[dict]) -> Optional[SubmissionSchedule]:
     jobs = [ScheduledJob(jd["submit_time"], JobSpec(**jd["spec"]),
                          jd["bin_id"]) for jd in d["jobs"]]
     return SubmissionSchedule(jobs, dict(d["inputs"]))
-
-
-def _trace_to_list(t: Optional[PreemptionTrace]) -> Optional[List[dict]]:
-    return None if t is None else [asdict(e) for e in t.events]
-
-
-def _trace_from_list(items: Optional[List[dict]]) -> Optional[PreemptionTrace]:
-    if items is None:
-        return None
-    return PreemptionTrace([PreemptionEvent(**e) for e in items])
 
 
 @dataclass
@@ -195,17 +184,16 @@ class WorkloadSpec:
 class FaultSpec:
     """How the grid misbehaves.
 
-    ``policy`` drives stochastic preemption; ``trace`` pins every
-    preemption to a time and site; ``plan`` schedules typed fault events
-    (site blackouts, WAN degradation/partitions, failure waves, disk
-    failures, stragglers — see :mod:`repro.faults.plan`).  Both pinned
-    forms replay from the instant the cluster finishes ramping.  When a
-    trace or plan is given and no policy, the runner uses a churn-free
-    policy so the pinned events are the *only* fault source.
+    ``policy`` drives stochastic preemption; ``plan`` pins typed fault
+    events to times and sites (site blackouts, WAN degradation/partitions,
+    preemption waves, disk failures, stragglers — see
+    :mod:`repro.faults.plan`), replayed from the instant the cluster
+    finishes ramping.  When a plan is given and no policy, the runner
+    uses a churn-free policy so the pinned events are the *only* fault
+    source.
     """
 
     policy: Optional[SitePolicy] = None
-    trace: Optional[PreemptionTrace] = None
     plan: Optional[FaultPlan] = None
 
     def validate(self) -> None:
@@ -218,14 +206,19 @@ class FaultSpec:
 
     def to_dict(self) -> dict:
         return {"policy": _opt_dict(self.policy),
-                "trace": _trace_to_list(self.trace),
                 "plan": None if self.plan is None else self.plan.to_list()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultSpec":
+        unknown = [k for k in d if k not in ("policy", "plan")]
+        if "trace" in unknown:
+            raise ValueError(
+                "FaultSpec key 'trace' is no longer read: pin preemptions "
+                "as node_wave events in 'plan' (repro.faults.plan)")
+        if unknown:
+            raise ValueError(f"unknown FaultSpec keys {unknown}")
         plan = d.get("plan")
         return cls(policy=_opt_load(SitePolicy, d.get("policy")),
-                   trace=_trace_from_list(d.get("trace")),
                    plan=None if plan is None else FaultPlan.from_list(plan))
 
 

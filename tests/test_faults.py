@@ -186,12 +186,41 @@ class TestWanFaults:
 class TestNodeFaults:
     def test_node_wave_preempts_longest_running(self):
         sim, hog = make_hog(target=6)
-        victims = sorted(site_named(hog, "S1").running_glideins(),
-                         key=lambda g: g.glidein_id)
-        plan = FaultPlan([FaultEvent(5.0, "node_wave", "S1", count=1)])
+        victims = [sorted(site_named(hog, name).running_glideins(),
+                          key=lambda g: g.glidein_id)[0]
+                   for name in ("S1", "S0")]
+        before = hog.factory.counters.get("glideins_preempted")
+        # Two waves at two sites, given out of time order: each fires at
+        # its own instant and takes its site's longest-running pilot.
+        plan = FaultPlan([FaultEvent(30.0, "node_wave", "S0", count=1),
+                          FaultEvent(5.0, "node_wave", "S1", count=1)])
         inj = run_plan(sim, hog, plan, 10.0)
         assert inj.summary()["wave_preemptions"] == 1
         assert victims[0].state != victims[0].RUNNING
+        assert victims[1].state == victims[1].RUNNING
+        sim.run(until=sim.now + 30.0)
+        assert inj.summary()["wave_preemptions"] == 2
+        assert victims[1].state != victims[1].RUNNING
+        assert hog.factory.counters.get("glideins_preempted") == before + 2
+        assert [e["t"] - inj._armed_at for e in inj.stream] == \
+            pytest.approx([5.0, 30.0])
+        with pytest.raises(RuntimeError):
+            inj.start()  # a plan arms once
+
+    @pytest.mark.parametrize("mode,state", [
+        ("", "dead"),          # the wrapper's zombie fix (on by default)
+        ("preempt", "dead"),
+        ("zombie", "zombie"),  # the §IV-D1 double fork: daemons linger
+    ])
+    def test_node_wave_mode_picks_the_eviction_outcome(self, mode, state):
+        sim, hog = make_hog(target=6)
+        victim = sorted(site_named(hog, "S1").running_glideins(),
+                        key=lambda g: g.glidein_id)[0]
+        node = victim.node
+        plan = FaultPlan([FaultEvent(5.0, "node_wave", "S1", count=1,
+                                     mode=mode)])
+        run_plan(sim, hog, plan, 10.0)
+        assert node.datanode.state == state
 
     def test_node_wave_short_site_counts_shortfall(self):
         sim, hog = make_hog(target=6)
@@ -234,10 +263,13 @@ class TestNodeFaults:
 
     def test_unknown_site_skipped_not_fatal(self):
         sim, hog = make_hog()
-        plan = FaultPlan([FaultEvent(5.0, "disk_fail", "Atlantis", count=1)])
+        before = hog.factory.counters.get("glideins_preempted")
+        plan = FaultPlan([FaultEvent(5.0, "disk_fail", "Atlantis", count=1),
+                          FaultEvent(6.0, "node_wave", "Atlantis", count=3)])
         inj = run_plan(sim, hog, plan, 10.0)
-        assert inj.summary()["events_skipped"] == 1
-        assert inj.stream[0]["action"] == "skip"
+        assert inj.summary()["events_skipped"] == 2
+        assert [e["action"] for e in inj.stream] == ["skip", "skip"]
+        assert hog.factory.counters.get("glideins_preempted") == before
 
 
 class TestStreamDeterminism:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.hog import PARK_KEYS
-from repro.grid.preemption import PreemptionEvent, PreemptionTrace
+from repro.faults import FaultEvent, FaultPlan
 from repro.grid.site import PAPER_SITE_DOMAINS, PAPER_SITE_NAMES, SitePolicy
 from repro.mapreduce.job import JobSpec
 from repro.scenarios import (
@@ -69,13 +69,15 @@ class TestRegistry:
         assert spec.grow_to > 20
         assert spec.balance_during_run
 
-    def test_churn_heavy_trace_is_sorted_and_sited(self):
+    def test_churn_heavy_waves_are_sorted_and_sited(self):
         spec = registry.build("churn_heavy")
-        trace = spec.faults.trace
-        assert len(trace) > 0
-        times = [e.time for e in trace.events]
+        plan = spec.faults.plan
+        assert len(plan) > 0
+        times = [e.time for e in plan.events]
         assert times == sorted(times)
-        assert all(e.site in PAPER_SITE_NAMES for e in trace.events)
+        assert all(e.site in PAPER_SITE_NAMES for e in plan.events)
+        # Plain waves: the wrapper's zombie fix decides each eviction.
+        assert {(e.kind, e.mode) for e in plan.events} == {("node_wave", "")}
 
 
 class TestSpecRoundTrip:
@@ -100,13 +102,19 @@ class TestSpecRoundTrip:
         assert clone.workload.schedule.inputs == sched.inputs
         assert clone.workload.schedule.jobs[1].spec.num_maps == 4
 
-    def test_trace_round_trips(self):
-        trace = PreemptionTrace([PreemptionEvent(10.0, "UCSDT2", 2, True)])
-        spec = ScenarioSpec(name="t", faults=FaultSpec(trace=trace))
-        clone = ScenarioSpec.from_dict(spec.to_dict())
-        ev = clone.faults.trace.events[0]
-        assert (ev.time, ev.site, ev.count, ev.zombie) == \
-            (10.0, "UCSDT2", 2, True)
+    def test_stale_fault_keys_rejected(self):
+        """A spec saved with the retired preemption ``trace`` field (or
+        any other unknown fault key) fails loudly instead of silently
+        running without its pinned preemptions."""
+        d = registry.build("baseline", seed=1, **SMOKE).to_dict()
+        d["faults"]["trace"] = [{"time": 10.0, "site": "UCSDT2",
+                                 "count": 2, "zombie": True}]
+        with pytest.raises(ValueError, match="node_wave"):
+            ScenarioSpec.from_dict(d)
+        del d["faults"]["trace"]
+        d["faults"]["plna"] = []
+        with pytest.raises(ValueError, match="plna"):
+            ScenarioSpec.from_dict(d)
 
     def test_validation_rejects_nonsense(self):
         with pytest.raises(ValueError):
@@ -154,10 +162,11 @@ class TestRunnerConfig:
         cfg = ScenarioRunner(spec).build_config()
         assert cfg.mr.scheduler == "delay"
 
-    def test_trace_without_policy_means_churn_free_sites(self):
+    def test_plan_without_policy_means_churn_free_sites(self):
         spec = ScenarioSpec(
-            name="t", faults=FaultSpec(trace=PreemptionTrace(
-                [PreemptionEvent(10.0, PAPER_SITE_NAMES[0])])))
+            name="t", faults=FaultSpec(plan=FaultPlan(
+                [FaultEvent(10.0, "node_wave", PAPER_SITE_NAMES[0],
+                            count=1)])))
         cfg = ScenarioRunner(spec).build_config()
         for site in cfg.sites:
             assert site.policy.preempt_rate == 0.0
