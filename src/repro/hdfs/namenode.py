@@ -435,6 +435,7 @@ class Namenode:
         heap = self._repl_heap
         if not heap:
             return
+        cap = self.config.max_replication_streams
         scheduled = 0
         blocked: List[int] = []
         retry: List[int] = []
@@ -457,6 +458,12 @@ class Namenode:
             if not sources:
                 blocked.append(bid)  # no live source — back off
                 continue
+            if min(self._nodes[h].member.active_repl_streams
+                   for h in sources) >= cap:
+                # Every source at its stream cap: no copy can launch this
+                # tick, so skip placement (and its RNG draws) entirely.
+                retry.append(bid)
+                continue
             size = info.block.size
             targets = self.placement.choose_targets(
                 None, missing, {**info.replicas, **info.pending_targets},
@@ -468,7 +475,7 @@ class Namenode:
                 # replica-map iteration order.
                 src = min(sources, key=lambda h: (
                     self._nodes[h].member.active_repl_streams, h))
-                if self._nodes[src].member.active_repl_streams >= self.config.max_replication_streams:
+                if self._nodes[src].member.active_repl_streams >= cap:
                     capped = True  # per-source stream throttle hit
                     break
                 info.pending_targets[tgt] = None

@@ -197,3 +197,33 @@ class TestReplicationStreamCap:
         assert nn.block_info(bid).live_replica_count == 5
         assert source.active_repl_streams == 0
         assert nn.counters.get("replications_completed") == 4
+
+    def test_capped_sources_skip_placement(self, monkeypatch):
+        """Every source at the cap: the tick re-queues the block without
+        placing it.  Placement used to run (RNG draws included) only to
+        find the source capped, on every tick for every such block."""
+        h = HdfsHarness(n_nodes=8, config=hog_config(
+            replication=1, max_replication_streams=2,
+            disk_check_interval=None, block_report_interval=None))
+        nn = h.namenode
+        fi = h.client().preload_file("/f", 64 * MB)
+        bid = fi.blocks[0].block_id
+        (host,) = nn.locate(bid)
+        placements = []
+        choose = nn.placement.choose_targets
+        monkeypatch.setattr(nn.placement, "choose_targets",
+                            lambda *a: placements.append(a) or choose(*a))
+        # The only source already serves two streams (the cap).
+        h.datanodes[host].active_repl_streams = 2
+        fi.replication = 3
+        nn._needed[bid] = None
+        nn._queue_replication(bid)
+        h.sim.run(until=3 * nn.config.replication_monitor_period)
+        assert placements == []
+        assert nn.counters.get("replications_started") == 0
+        assert bid in nn._repl_prio  # fast retry, not the backoff
+        # A stream frees up: the next tick places and launches a copy.
+        h.datanodes[host].active_repl_streams = 1
+        h.sim.run(until=4 * nn.config.replication_monitor_period)
+        assert len(placements) == 1
+        assert nn.counters.get("replications_started") == 1
