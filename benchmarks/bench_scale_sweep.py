@@ -15,11 +15,15 @@ construction of its own.  Two scenarios sweep per node count:
   on slow disks, so shuffle serves and replication streams are genuinely
   *disk*-bottlenecked, exercising the joint disk+network demands.
 
-A third section runs EVERY registry scenario three times (once under
-``--smoke``) at a small fixed size and records the full
-:class:`~repro.scenarios.runner.ScenarioResult` of the fastest run —
-the model-coverage anchor keeping wan_staging / hetero_tiers /
+A third section runs EVERY registry scenario at a small fixed size and
+records the full :class:`~repro.scenarios.runner.ScenarioResult` — the
+model-coverage anchor keeping wan_staging / hetero_tiers /
 rebalance_under_load / churn_heavy measured between releases.
+
+Every sweep point, frontier point and scenario record is the fastest of
+three runs of one spec (one run under ``--smoke``), and the runs must
+agree on everything but their wall clocks: a single run's wall time
+varies more than the events/s floor of ``--check-against`` allows.
 
 Usage::
 
@@ -42,6 +46,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import List
 
 if __package__ in (None, ""):
     # Allow running as a plain script without PYTHONPATH set.
@@ -96,10 +101,35 @@ def contended_node():
     return registry.build("contended").cluster.node
 
 
+def _fastest(label: str, group: List[dict], payload_of) -> dict:
+    """The fastest of ``group``'s runs of one spec, which must agree on
+    ``payload_of`` (everything but their wall clocks)."""
+    payload = payload_of(group[0])
+    if any(payload_of(r) != payload for r in group[1:]):
+        raise RuntimeError(f"{label}: {len(group)} runs of one spec "
+                           f"produced different payloads")
+    return min(group, key=lambda r: r["wall_seconds"])
+
+
+def _point_payload(record: dict) -> dict:
+    """A sweep-point record without its wall-clock fields."""
+    return {k: v for k, v in record.items()
+            if k not in ("wall_seconds", "events_per_second")}
+
+
 def run_point(n_nodes: int, scale: float, seed: int,
               scenario: str = "baseline",
-              ramp_fraction: float = 0.98) -> dict:
-    """One sweep point: run the registry scenario, return its perf record."""
+              ramp_fraction: float = 0.98, runs: int = 1) -> dict:
+    """One sweep point: run the registry scenario ``runs`` times, return
+    the perf record of the fastest run."""
+    records = [_run_once(n_nodes, scale, seed, scenario, ramp_fraction)
+               for _ in range(runs)]
+    return _fastest(f"{scenario}@{n_nodes}", records, _point_payload)
+
+
+def _run_once(n_nodes: int, scale: float, seed: int, scenario: str,
+              ramp_fraction: float) -> dict:
+    """One run of a sweep point's spec: its perf record."""
     spec = registry.build(scenario, n_nodes=n_nodes, scale=scale,
                           seed=seed + n_nodes)
     # Under churn the running count hovers just below the target while
@@ -165,9 +195,7 @@ def run_scenario_section(nodes: int, scale: float, seed: int,
     """Every registry scenario at one small size: full results.
 
     Each scenario runs ``runs`` times and keeps the record of its
-    fastest run: the wall clock of a two-second run varies more than the
-    events/s floor of ``--check-against`` allows, the fastest of three
-    does not.  The runs must produce identical simulation payloads.
+    fastest run; the runs must produce identical simulation payloads.
     ``workers > 1`` fans the runs out over a process pool (payloads are
     identical to a serial run; only wall-clock fields differ)."""
     names = [n for n in registry.names() if n not in skip]
@@ -179,12 +207,9 @@ def run_scenario_section(nodes: int, scale: float, seed: int,
     records = run_specs_parallel(specs, workers)
     section = {}
     for k, name in enumerate(names):
-        group = records[k * runs:(k + 1) * runs]
-        payload = ScenarioResult.payload_of(group[0])
-        if any(ScenarioResult.payload_of(r) != payload for r in group[1:]):
-            raise RuntimeError(f"scenario {name!r}: {runs} runs of one "
-                               f"spec produced different payloads")
-        section[name] = min(group, key=lambda r: r["wall_seconds"])
+        section[name] = _fastest(f"scenario {name!r}",
+                                 records[k * runs:(k + 1) * runs],
+                                 ScenarioResult.payload_of)
     for name, rec in section.items():
         print(f"[scale-sweep]   {name}[{rec['nodes']}]: "
               f"makespan={rec['makespan_seconds']:.0f}s "
@@ -277,31 +302,34 @@ def main(argv=None) -> int:
         # this exact size; re-running them in the section buys nothing.
         section_nodes, section_scale = 30, 0.04
         section_skip = ("baseline", "contended")
+    runs = 1 if args.smoke else 3
 
     points = []
     contended_points = []
     for n in nodes:
         if "baseline" in args.scenarios:
-            print(f"[scale-sweep] running {n} nodes @ scale {scale} ...",
-                  flush=True)
-            record = run_point(n, scale, args.seed)
+            print(f"[scale-sweep] running {n} nodes @ scale {scale} x "
+                  f"{runs} run(s) ...", flush=True)
+            record = run_point(n, scale, args.seed, runs=runs)
             points.append(record)
             _report(record)
     for n in contended_nodes:
         if "contended" in args.scenarios:
-            print(f"[scale-sweep] running {n} nodes @ scale {scale} "
-                  f"(shuffle-heavy, slow disks) ...", flush=True)
-            record = run_point(n, scale, args.seed, scenario="contended")
+            print(f"[scale-sweep] running {n} nodes @ scale {scale} x "
+                  f"{runs} run(s) (shuffle-heavy, slow disks) ...",
+                  flush=True)
+            record = run_point(n, scale, args.seed, scenario="contended",
+                               runs=runs)
             contended_points.append(record)
             _report(record)
 
     frontier_points = []
     if not args.smoke and not args.no_frontier and "baseline" in args.scenarios:
         print(f"[scale-sweep] frontier: {FRONTIER_NODES} nodes @ scale "
-              f"{FRONTIER_SCALE}, ramp to {FRONTIER_RAMP_FRACTION:.0%} ...",
-              flush=True)
+              f"{FRONTIER_SCALE}, ramp to {FRONTIER_RAMP_FRACTION:.0%} x "
+              f"{runs} run(s) ...", flush=True)
         record = run_point(FRONTIER_NODES, FRONTIER_SCALE, args.seed,
-                           ramp_fraction=FRONTIER_RAMP_FRACTION)
+                           ramp_fraction=FRONTIER_RAMP_FRACTION, runs=runs)
         frontier_points.append(record)
         _report(record)
 
@@ -309,15 +337,15 @@ def main(argv=None) -> int:
     if not args.no_scenario_section:
         scenario_section = run_scenario_section(
             section_nodes, section_scale, args.seed, skip=section_skip,
-            workers=args.parallel, runs=1 if args.smoke else 3)
+            workers=args.parallel, runs=runs)
 
     report = {
         "benchmark": "bench_scale_sweep",
         "description": "fig4-style Facebook workload on HOG at increasing "
                        "node counts (unified max-min channel core with "
                        "arrival/completion fast paths and pass-size "
-                       "telemetry), plus one run of every registry "
-                       "scenario",
+                       "telemetry), plus every registry scenario; each "
+                       "record is the fastest of its runs",
         "python": sys.version.split()[0],
         "points": points,
         "contended_points": contended_points,

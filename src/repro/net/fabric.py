@@ -113,11 +113,6 @@ class Flow(Demand):
         self.src = src
         self.dst = dst
 
-    @property
-    def links(self) -> Tuple[Constraint, ...]:
-        """The constraints this flow drains through (path + any extras)."""
-        return self.constraints
-
     def __repr__(self) -> str:
         return (f"<Flow #{self.id} {self.src}->{self.dst} "
                 f"{self.remaining:.0f}/{self.size:.0f}B @{self.rate:g}B/s>")
@@ -170,23 +165,8 @@ class NetworkFabric:
         #: (src, dst) → (links, same_site) memo.
         self._path_cache: Dict[Tuple[str, str], Tuple[List[Link], bool]] = {}
         self._flow_counter = 0
-        #: Total bytes ever delivered, by (same-site?) class — used by tests
-        #: and locality accounting.
-        self.bytes_intra_site = 0.0
-        self.bytes_inter_site = 0.0
         #: Highwater mark of concurrent fluid-phase flows (benchmarks).
         self.peak_flows = 0
-
-    # -- stats (delegated to the shared channel core) -------------------------
-    @property
-    def rebalances(self) -> int:
-        """Progressive-filling passes executed (benchmarks / perf tests)."""
-        return self.channel.rebalances
-
-    @property
-    def starvation_rescues(self) -> int:
-        """Times the zero-rate starvation guard had to rescue a demand."""
-        return self.channel.starvation_rescues
 
     # -- link management -----------------------------------------------------
     def _nic(self, host: str, direction: str) -> Link:
@@ -361,10 +341,6 @@ class NetworkFabric:
                     done.defused()
             self.sim.call_after(self._setup_delay(src, dst), refuse)
             return done
-        if same:
-            self.bytes_intra_site += nbytes
-        else:
-            self.bytes_inter_site += nbytes
         if extra_constraints:
             links = links + list(extra_constraints)
 

@@ -3,8 +3,8 @@
 Public surface:
 
 - :class:`Simulator` — the event loop and clock.
-- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`Interrupt`,
-  :class:`AnyOf`, :class:`AllOf` — event primitives.
+- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`Interrupt`
+  — event primitives (fan-in: :func:`repro.sim.util.gather_safe`).
 - :class:`FairQueue`, :class:`Constraint`, :class:`Demand` — the unified
   max-min fair shared-resource core (network + disk rate sharing).
 - :class:`RngRegistry` — reproducible named random streams.
@@ -13,7 +13,7 @@ Public surface:
 
 from .channel import Constraint, Demand, FairQueue
 from .engine import EmptySchedule, Simulator
-from .events import AllOf, AnyOf, CallbackTimer, Event, Interrupt, Process, Timeout
+from .events import CallbackTimer, Event, Interrupt, Process, Timeout
 from .monitor import CounterSet, StepSeries
 from .rng import RngRegistry
 
@@ -28,8 +28,6 @@ __all__ = [
     "CallbackTimer",
     "Process",
     "Interrupt",
-    "AnyOf",
-    "AllOf",
     "RngRegistry",
     "StepSeries",
     "CounterSet",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .events import (
     NORMAL,
@@ -29,8 +29,6 @@ from .events import (
     PROCESSED,
     TRIGGERED,
     URGENT,
-    AllOf,
-    AnyOf,
     CallbackTimer,
     EngineProfile,
     Event,
@@ -209,22 +207,10 @@ class Simulator:
         fns.append(arg)
         return t
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     # -- scheduling -------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Place a triggered event on the heap ``delay`` seconds from now."""
         heappush(self._heap, (self._now + delay, priority, next(self._counter), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""

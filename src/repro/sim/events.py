@@ -20,7 +20,7 @@ the exception is thrown into every waiting process (unless it has been
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = [
     "PENDING",
@@ -32,9 +32,6 @@ __all__ = [
     "CallbackTimer",
     "Process",
     "Interrupt",
-    "Condition",
-    "AnyOf",
-    "AllOf",
 ]
 
 #: Free-list bound for recycled :class:`Timeout`/:class:`CallbackTimer`
@@ -153,8 +150,8 @@ class Timeout(Event):
     steady-state sleep/resume cycle allocates nothing.  The recycling
     contract: never retain a reference to a yielded timeout past its fire
     — in-engine code never does, and the pool only reclaims the
-    single-process-waiter case, so conditions and plain callback waiters
-    keep ordinary object lifetimes.
+    single-process-waiter case, so plain callback waiters keep ordinary
+    object lifetimes.
     """
 
     __slots__ = ("delay",)
@@ -417,75 +414,6 @@ class _Interruption(Event):
                     pass
             proc._target = None
         proc._resume(self)
-
-
-class Condition(Event):
-    """An event that fires when ``evaluate`` is satisfied over its children.
-
-    Used through the :class:`AnyOf` / :class:`AllOf` helpers.  The value of
-    a condition is a dict mapping each *triggered* child event to its value.
-    """
-
-    __slots__ = ("_events", "_count", "_evaluate")
-
-    def __init__(
-        self,
-        sim: "Simulator",  # noqa: F821
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-        self._evaluate = evaluate
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise ValueError("all events of a condition must share a simulator")
-        if not self._events:
-            self.succeed({})
-            return
-        for ev in self._events:
-            if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict:
-        return {ev: ev._value for ev in self._events if ev._state >= PROCESSED and ev._ok}
-
-    def _check(self, event: Event) -> None:
-        if self._state != PENDING:
-            # The condition has already fired, but a child failing late
-            # still had a waiter (through this condition): defuse the
-            # stray failure so it cannot crash the run at the child's
-            # dispatch.
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AnyOf(Condition):
-    """Fires as soon as any child event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events) -> None:
-        super().__init__(sim, lambda events, count: count >= 1, events)
-
-
-class AllOf(Condition):
-    """Fires once every child event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events) -> None:
-        super().__init__(sim, lambda events, count: count >= len(events), events)
 
 
 class EngineProfile:

@@ -40,10 +40,10 @@ def expected_failure(sim: Simulator, exc: BaseException) -> BaseException:
 def gather_safe(sim: Simulator, events: List[Event]) -> Event:
     """Wait for *all* events, collecting failures instead of propagating.
 
-    Unlike :class:`AllOf` — which fails fast on the first child failure —
-    this waits for every event and fires with a list of :class:`Outcome`
-    in input order.  Used for fan-out operations where partial success is
-    meaningful (e.g. an HDFS write pipeline where one target dies).
+    Waits for every event, even after one fails, and fires with a list
+    of :class:`Outcome` in input order: the engine's one fan-in.  Used for
+    fan-out operations where partial success is meaningful (e.g. an HDFS
+    write pipeline where one target dies).
 
     Implemented with plain callbacks (no helper processes): shuffle fan-out
     runs this on every fetch batch, so each saved process is two fewer heap

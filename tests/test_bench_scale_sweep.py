@@ -190,3 +190,54 @@ class TestScenarioSectionTiming:
                         makespans=[100.0, 100.0, 101.0])
         with pytest.raises(RuntimeError, match="different payloads"):
             bench.run_scenario_section(40, 0.05, 0)
+
+
+class TestSweepPointTiming:
+    """Sweep, contended and frontier points are timed like the scenario
+    section: the fastest of three runs of one spec, which must agree on
+    everything but their wall clocks; ``--smoke`` makes one run."""
+
+    @staticmethod
+    def _fake_runs(monkeypatch, bench, walls, events=None):
+        calls = []
+
+        def fake(n_nodes, scale, seed, scenario, ramp_fraction):
+            i = sum(1 for c in calls if c == (scenario, n_nodes)) % len(walls)
+            calls.append((scenario, n_nodes))
+            return {"nodes": n_nodes, "scenario": scenario,
+                    "wall_seconds": walls[i],
+                    "events_per_second": round(1000 / walls[i]),
+                    "events": events[i] if events else 1000,
+                    "peak_flows": 1, "workload_response_seconds": 10.0,
+                    "control": {"park_ties": 0}}
+        monkeypatch.setattr(bench, "_run_once", fake)
+        return calls
+
+    def test_every_point_keeps_the_fastest_of_three(self, monkeypatch,
+                                                    tmp_path):
+        bench = _load_bench_module()
+        calls = self._fake_runs(monkeypatch, bench, [2.4, 1.5, 1.9])
+        out = tmp_path / "report.json"
+        assert bench.main(["--nodes", "100", "--no-scenario-section",
+                           "--output", str(out)]) == 0
+        assert calls == [("baseline", 100)] * 3 + [("contended", 100)] * 3 \
+            + [("baseline", bench.FRONTIER_NODES)] * 3
+        report = json.loads(out.read_text())
+        for section in ("points", "contended_points", "frontier_points"):
+            (record,) = report[section]
+            assert record["wall_seconds"] == 1.5
+            assert record["events_per_second"] == round(1000 / 1.5)
+
+    def test_smoke_points_run_once(self, monkeypatch, tmp_path):
+        bench = _load_bench_module()
+        calls = self._fake_runs(monkeypatch, bench, [2.4, 1.5, 1.9])
+        assert bench.main(["--smoke", "--no-scenario-section", "--output",
+                           str(tmp_path / "report.json")]) == 0
+        assert calls == [("baseline", 30), ("contended", 30)]
+
+    def test_point_runs_that_disagree_fail(self, monkeypatch):
+        bench = _load_bench_module()
+        self._fake_runs(monkeypatch, bench, [2.4, 1.5, 1.9],
+                        events=[1000, 1000, 1001])
+        with pytest.raises(RuntimeError, match="different payloads"):
+            bench.run_point(100, 0.25, 0, runs=3)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import FairQueue, Simulator
+from repro.sim.util import gather_safe
 from repro.sim.channel import TIE
 
 
@@ -836,7 +837,7 @@ class TestUniformGroups:
         q = FairQueue(sim)
         ch = q.constraint("disk", 50.0)
         evs = [q.request(100.0, [ch]) for _ in range(5)]
-        sim.run(until=sim.all_of(evs))
+        sim.run(until=gather_safe(sim, evs))
         assert sim.now == pytest.approx(10.0)  # 500 B / 50 B/s
         assert q.rebalances == 1  # all completions via the clock
 
@@ -873,7 +874,7 @@ class TestSlackShortcut:
         n2 = q.constraint("n2", 100.0)
         a = q.submit(750.0, [n1, wan])
         b = q.submit(750.0, [n2, wan])
-        done = sim.all_of([a.done, b.done])
+        done = gather_safe(sim, [a.done, b.done])
         sim.run(until=done)
         # Max-min: 75 B/s each through the shared wan.
         assert sim.now == pytest.approx(10.0)
@@ -1090,5 +1091,5 @@ class TestLifecycle:
         ch = q.constraint("ch", 100.0)
         sizes = [37.0, 240.0, 101.5, 999.0, 5.0]
         evs = [q.request(s, [ch]) for s in sizes]
-        sim.run(until=sim.all_of(evs))
+        sim.run(until=gather_safe(sim, evs))
         assert sim.now == pytest.approx(sum(sizes) / 100.0)

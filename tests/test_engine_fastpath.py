@@ -112,38 +112,8 @@ def test_call_at_successor_not_evicted_by_stale_cleanup():
     assert seen["shared"] is seen["successor"]
 
 
-# -- bugfix: late child failure is defused ------------------------------------
-
-def test_condition_defuses_child_failing_after_fire():
-    sim = Simulator()
-
-    def fast(sim):
-        yield sim.timeout(1.0)
-        return "fast"
-
-    def slow_fail(sim):
-        yield sim.timeout(2.0)
-        raise RuntimeError("late failure")
-
-    p_fast = sim.process(fast(sim))
-    p_slow = sim.process(slow_fail(sim))
-    results = {}
-
-    def waiter(sim):
-        got = yield sim.any_of([p_fast, p_slow])
-        results["value"] = got
-
-    sim.process(waiter(sim))
-    # Pre-fix: p_slow's failure at t=2 crashed the run even though the
-    # (already-fired) condition had been a waiter.
-    sim.run()
-    assert results["value"] == {p_fast: "fast"}
-    assert not p_slow.ok
-
-
 def test_unwaited_failure_still_crashes_the_run():
-    # The defuse is scoped to condition children: a genuinely unwaited
-    # failure must still surface.
+    # A genuinely unwaited failure must surface.
     sim = Simulator()
 
     def boom(sim):

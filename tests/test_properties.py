@@ -12,6 +12,7 @@ from repro.net import (
     NetworkTopology,
 )
 from repro.sim import RngRegistry, Simulator
+from repro.sim.util import gather_safe
 from repro.storage import Disk
 
 
@@ -184,7 +185,7 @@ class TestDiskProperties:
         sim = Simulator()
         disk = Disk(sim, "h", capacity=1e9, read_rate=100.0)
         events = [disk.read(n) for n in sizes]
-        done = sim.all_of(events)
+        done = gather_safe(sim, events)
         sim.run(until=done)  # (stale timers may tick after completion)
         assert all(ev.ok for ev in events)
         assert sim.now == pytest.approx(sum(sizes) / 100.0, rel=1e-6)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     EmptySchedule,
     Event,
     Interrupt,
@@ -285,48 +283,6 @@ def test_interrupted_process_can_continue():
     assert log == [15.0]
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(3.0, value="fast")
-        t2 = sim.timeout(9.0, value="slow")
-        result = yield sim.any_of([t1, t2])
-        return (sim.now, list(result.values()))
-
-    p = sim.process(proc(sim))
-    sim.run()
-    when, vals = p.value
-    assert when == 3.0
-    assert vals == ["fast"]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(3.0, value="a")
-        t2 = sim.timeout(9.0, value="b")
-        result = yield sim.all_of([t1, t2])
-        return (sim.now, sorted(result.values()))
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == (9.0, ["a", "b"])
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        result = yield sim.all_of([])
-        return result
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == {}
-
-
 def test_yield_non_event_fails_process():
     sim = Simulator()
 
@@ -358,13 +314,6 @@ def test_step_on_empty_heap_raises():
     sim = Simulator()
     with pytest.raises(EmptySchedule):
         sim.step()
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.5)
-    assert sim.peek() == 4.5
 
 
 def test_nested_processes_deep_chain():

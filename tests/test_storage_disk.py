@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.util import gather_safe
 from repro.storage import Disk, DiskFullError, DiskIOError
 
 
@@ -92,14 +93,14 @@ class TestTimedIO:
         sim, disk = make_disk(read_rate=100.0)
         e1 = disk.read(250.0)
         e2 = disk.read(250.0)
-        sim.run(until=sim.all_of([e1, e2]))
+        sim.run(until=gather_safe(sim, [e1, e2]))
         assert sim.now == pytest.approx(5.0)
 
     def test_reads_and_writes_are_independent_channels(self):
         sim, disk = make_disk(read_rate=100.0, write_rate=100.0)
         e1 = disk.read(500.0)
         e2 = disk.write(500.0)
-        sim.run(until=sim.all_of([e1, e2]))
+        sim.run(until=gather_safe(sim, [e1, e2]))
         assert sim.now == pytest.approx(5.0)
 
     def test_zero_byte_io_instant(self):
