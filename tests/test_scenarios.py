@@ -69,7 +69,7 @@ class TestRegistry:
         assert spec.grow_to > 20
         assert spec.balance_during_run
 
-    def test_churn_heavy_waves_are_sorted_and_sited(self):
+    def test_churn_heavy_trace_is_sorted_and_sited(self):
         spec = registry.build("churn_heavy")
         plan = spec.faults.plan
         assert len(plan) > 0
@@ -162,7 +162,7 @@ class TestRunnerConfig:
         cfg = ScenarioRunner(spec).build_config()
         assert cfg.mr.scheduler == "delay"
 
-    def test_plan_without_policy_means_churn_free_sites(self):
+    def test_trace_without_policy_means_churn_free_sites(self):
         spec = ScenarioSpec(
             name="t", faults=FaultSpec(plan=FaultPlan(
                 [FaultEvent(10.0, "node_wave", PAPER_SITE_NAMES[0],
