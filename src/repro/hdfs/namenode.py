@@ -428,9 +428,11 @@ class Namenode:
         in-flight copies — the replica events that change that coverage
         (``block_received``, replication failure, another death) re-queue
         it.  Blocks that cannot be scheduled at all (no live source, no
-        eligible target, every source at its stream cap) go to the retry
-        backoff instead of straight back into the queue, so a cluster
-        with nowhere to repair to does not spin the monitor."""
+        eligible target) go to the retry backoff instead of straight back
+        into the queue, so a cluster with nowhere to repair to does not
+        spin the monitor.  A block whose every source is at its stream
+        cap is re-queued for the next tick without being placed: streams
+        drain between ticks."""
         self._promote_deferred_replications()
         heap = self._repl_heap
         if not heap:

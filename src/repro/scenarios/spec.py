@@ -213,8 +213,8 @@ class FaultSpec:
         unknown = [k for k in d if k not in ("policy", "plan")]
         if "trace" in unknown:
             raise ValueError(
-                "FaultSpec key 'trace' is no longer read: pin preemptions "
-                "as node_wave events in 'plan' (repro.faults.plan)")
+                "FaultSpec has no 'trace' field: pin preemptions as "
+                "node_wave events in 'plan' (repro.faults.plan)")
         if unknown:
             raise ValueError(f"unknown FaultSpec keys {unknown}")
         plan = d.get("plan")
