@@ -20,9 +20,12 @@ Latency is charged once per transfer, before the fluid phase.
 The rate arithmetic itself — incremental per-component progressive
 filling, per-constraint virtual clocks, per-bottleneck group timers, and
 per-site partitioning — lives in :mod:`repro.sim.channel`; this module is
-an adapter.  It owns host naming, topology-driven path construction (with
-memoisation), latency/handshake setup phases, per-host flow indexes for
-node-death aborts, and byte-class accounting.  Because links are plain
+an adapter.  It owns host naming, topology-driven path construction,
+latency/handshake setup phases, and per-host flow indexes for node-death
+aborts.  It keeps no per-host-pair state: in a many-to-many shuffle
+almost every transfer runs between a pair it has never used before, so
+a path memo would miss and only grow, and a finished flow is freed by
+reference counting as soon as its waiter drops it.  Because links are plain
 :class:`~repro.sim.channel.Constraint` objects on a shared
 :class:`~repro.sim.channel.FairQueue`, a transfer can be *jointly*
 constrained by non-network resources: pass a disk's read or write
@@ -34,7 +37,7 @@ store-and-forward).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.channel import Constraint, Demand, FairQueue
 from ..sim.engine import Simulator
@@ -104,14 +107,18 @@ class Link(Constraint):
 class Flow(Demand):
     """One in-flight transfer."""
 
-    __slots__ = ("id", "src", "dst")
+    __slots__ = ("id", "src", "dst", "validate")
 
     def __init__(self, fid: int, src: str, dst: str, size: float,
-                 links: Sequence[Constraint], done: Event, now: float) -> None:
+                 links: Sequence[Constraint], done: Event, now: float,
+                 validate: Optional[Callable[[], bool]] = None) -> None:
         super().__init__(size, links, done, now)
         self.id = fid
         self.src = src
         self.dst = dst
+        #: Precondition re-checked when the setup phase ends (cleared
+        #: once checked), or None.
+        self.validate = validate
 
     def __repr__(self) -> str:
         return (f"<Flow #{self.id} {self.src}->{self.dst} "
@@ -126,10 +133,6 @@ class NetworkFabric:
 
     #: How long a starved flow waits before forcing another filling pass.
     STARVATION_RETRY = FairQueue.STARVATION_RETRY
-
-    #: Path-cache entries before a wholesale reset (guards memory on huge
-    #: all-to-all shuffles; entries are cheap to recompute).
-    _PATH_CACHE_LIMIT = 131072
 
     def __init__(self, sim: Simulator, topology: NetworkTopology,
                  config: Optional[FabricConfig] = None,
@@ -162,8 +165,6 @@ class NetworkFabric:
         self._flows_by_host: Dict[str, Dict[Flow, None]] = {}
         #: host → transfers still in their latency/handshake setup phase.
         self._pending_by_host: Dict[str, Dict[Flow, None]] = {}
-        #: (src, dst) → (links, same_site) memo.
-        self._path_cache: Dict[Tuple[str, str], Tuple[List[Link], bool]] = {}
         self._flow_counter = 0
         #: Highwater mark of concurrent fluid-phase flows (benchmarks).
         self.peak_flows = 0
@@ -195,7 +196,7 @@ class NetworkFabric:
         ``bandwidth`` is the new uplink capacity in bytes/s; ``None``
         restores the config's setting for the site.  New transfers see
         the new capacity immediately (the old ``Link`` objects are
-        retired and the path cache reset); flows already in the fluid
+        retired); flows already in the fluid
         phase keep the reservation they were rated with — model-wise, an
         established stream rides out a routing change — unless
         ``abort_active`` is set, which fails them with
@@ -217,7 +218,6 @@ class NetworkFabric:
                 aborted += self.channel.abort_constraint(
                     old, TransferFailed(
                         f"wan uplink of {site} reconfigured"))
-        self._path_cache.clear()
         return aborted
 
     def partition_site(self, site: str) -> int:
@@ -253,7 +253,6 @@ class NetworkFabric:
                     f"site {site} partitioned while setting up {flow!r}"))
                 flow.done.defused()
                 aborted += 1
-        self._path_cache.clear()
         return aborted
 
     def heal_site(self, site: str) -> None:
@@ -261,25 +260,13 @@ class NetworkFabric:
         self._partitioned_sites.pop(site, None)
 
     def _path(self, src: str, dst: str) -> Tuple[List[Link], bool]:
-        """Links for a src→dst flow and whether it stays inside one site.
-
-        Memoised: topology site assignments are resolve-once, so a host
-        pair's path never changes and repeated transfers (shuffle fetches,
-        block reads) skip the topology lookups entirely.
-        """
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
+        """Links for a src→dst flow and whether it stays inside one site."""
         same = self.topology.same_site(src, dst)
         links = [self._nic(src, "tx")]
         if not same:
             links.append(self._wan(self.topology.site_of(src), "tx"))
             links.append(self._wan(self.topology.site_of(dst), "rx"))
         links.append(self._nic(dst, "rx"))
-        if len(self._path_cache) >= self._PATH_CACHE_LIMIT:
-            self._path_cache.clear()
-        self._path_cache[key] = (links, same)
         return links, same
 
     # -- public API ------------------------------------------------------------
@@ -296,7 +283,7 @@ class NetworkFabric:
                  validate: Optional[Callable[[], bool]] = None) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``.
 
-        Returns an event that succeeds (value = the :class:`Flow`) when the
+        Returns an event that succeeds (value ``None``) when the
         last byte lands, or fails with :class:`TransferFailed` if an
         endpoint is torn down mid-transfer.
 
@@ -318,73 +305,67 @@ class NetworkFabric:
             raise ValueError(f"cannot transfer {nbytes!r} bytes")
         done = self.sim.event()
         if src == dst or nbytes == 0:
-            if nbytes > 0 and extra_constraints:
-                # Local stream: disk-limited only.
-                flow = self._make_flow(src, dst, nbytes,
-                                       list(extra_constraints), done)
-                self._begin(flow, delay=0.0, validate=validate)
+            if not (nbytes > 0 and extra_constraints):
+                done.succeed(None)
                 return done
-            done.succeed(None)
-            return done
+            # Local stream: disk-limited only.
+            links: List[Constraint] = list(extra_constraints)
+            delay = 0.0
+        else:
+            links, same = self._path(src, dst)
+            if not same and self._partitioned_sites and (
+                    self.topology.site_of(src) in self._partitioned_sites
+                    or self.topology.site_of(dst) in self._partitioned_sites):
+                # Cross-site stream into a partitioned site: fail fast
+                # (after the would-be connection setup) so callers' retry
+                # paths run instead of the flow stalling on a dead link
+                # forever.
+                def refuse(_arg: Any) -> None:
+                    if not done.triggered:
+                        done.fail(TransferFailed(
+                            f"wan partition blocks {src}->{dst}"))
+                        done.defused()
+                self.sim.call_after(self._setup_delay(src, dst), refuse)
+                return done
+            if extra_constraints:
+                links.extend(extra_constraints)
+            delay = self._setup_delay(src, dst)
 
-        links, same = self._path(src, dst)
-        if not same and self._partitioned_sites and (
-                self.topology.site_of(src) in self._partitioned_sites
-                or self.topology.site_of(dst) in self._partitioned_sites):
-            # Cross-site stream into a partitioned site: fail fast (after
-            # the would-be connection setup) so callers' retry paths run
-            # instead of the flow stalling on a dead link forever.
-            def refuse(_arg: Any) -> None:
-                if not done.triggered:
-                    done.fail(TransferFailed(
-                        f"wan partition blocks {src}->{dst}"))
-                    done.defused()
-            self.sim.call_after(self._setup_delay(src, dst), refuse)
-            return done
-        if extra_constraints:
-            links = links + list(extra_constraints)
-
-        flow = self._make_flow(src, dst, nbytes, links, done)
-        self._begin(flow, delay=self._setup_delay(src, dst), validate=validate)
-        return done
-
-    def _make_flow(self, src: str, dst: str, nbytes: float,
-                   links: List[Constraint], done: Event) -> Flow:
         self._flow_counter += 1
         flow = Flow(self._flow_counter, src, dst, nbytes, links, done,
-                    self.sim.now)
+                    self.sim.now, validate)
         flow.on_exit = self._flow_exited
-        return flow
-
-    def _begin(self, flow: Flow, delay: float,
-               validate: Optional[Callable[[], bool]] = None) -> None:
-        """Run the setup (latency/handshake) phase, then enter the fluid
-        phase on the shared channel."""
         # Index the setup-phase transfer so endpoint death during the
         # latency/handshake window aborts it instead of letting it start
         # and "deliver" bytes to a dead host.
-        self._pending_by_host.setdefault(flow.src, {})[flow] = None
-        self._pending_by_host.setdefault(flow.dst, {})[flow] = None
+        self._pending_by_host.setdefault(src, {})[flow] = None
+        self._pending_by_host.setdefault(dst, {})[flow] = None
+        # Coalescing: flow starts landing at one instant share a heap entry.
+        self.sim.call_at(self.sim._now + delay, self._start_flow, flow)
+        return done
 
-        def start(_arg: Any) -> None:
-            self._unindex_pending(flow)
-            if flow.done.triggered:  # aborted during the latency phase
-                return
-            if validate is not None and not validate():
+    def _start_flow(self, flow: Flow) -> None:
+        """End of the setup (latency/handshake) phase: enter the fluid
+        phase on the shared channel, unless the transfer was aborted
+        meanwhile or its precondition is lost."""
+        self._unindex_pending(flow)
+        if flow.done.triggered:  # aborted during the latency phase
+            return
+        validate = flow.validate
+        if validate is not None:
+            flow.validate = None
+            if not validate():
                 flow.done.fail(TransferFailed(
                     f"stream precondition lost while setting up {flow!r}"))
                 flow.done.defused()
                 return
-            self._flows[flow] = None
-            nflows = len(self._flows)
-            if nflows > self.peak_flows:
-                self.peak_flows = nflows
-            self._flows_by_host.setdefault(flow.src, {})[flow] = None
-            self._flows_by_host.setdefault(flow.dst, {})[flow] = None
-            self.channel.start(flow)
-
-        # Coalescing: flow starts landing at one instant share a heap entry.
-        self.sim.call_at(self.sim._now + delay, start)
+        self._flows[flow] = None
+        nflows = len(self._flows)
+        if nflows > self.peak_flows:
+            self.peak_flows = nflows
+        self._flows_by_host.setdefault(flow.src, {})[flow] = None
+        self._flows_by_host.setdefault(flow.dst, {})[flow] = None
+        self.channel.start(flow)
 
     def _flow_exited(self, demand: Demand) -> None:
         """Channel exit hook: tear down the fabric-side indexes."""

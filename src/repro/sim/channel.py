@@ -219,10 +219,12 @@ class Constraint:
 class Demand:
     """One in-flight piece of work draining through a set of constraints."""
 
+    # ``__weakref__``: a finished demand's lifetime can be watched; its
+    # ``done`` event holds no reference back, so it dies with its owner.
     __slots__ = ("size", "remaining", "rate", "constraints", "done",
                  "_last_update", "_fill_mark", "_group", "_group_key",
                  "_retry_at", "_visit", "_witness", "_bneck",
-                 "on_exit")
+                 "on_exit", "__weakref__")
 
     def __init__(self, size: float, constraints: Sequence[Constraint],
                  done: Event, now: float) -> None:
@@ -234,17 +236,28 @@ class Demand:
         # for a sole constraint) — its capacity bounds the rate this
         # demand can ever push through constraint i, and demands sharing
         # a witness share that cap (feeds the grouped slack shortcut).
+        # Ties go to the first index, for the tightest and the runner-up.
         cs = self.constraints
-        if len(cs) == 1:
+        n = len(cs)
+        if n == 1:
             self._witness: Tuple[Optional[Constraint], ...] = (None,)
         else:
-            caps = [c.capacity for c in cs]
-            idx = caps.index(min(caps))
-            second_idx = min((i for i in range(len(cs)) if i != idx),
-                             key=lambda i: caps[i])
-            self._witness = tuple(
-                cs[second_idx] if i == idx else cs[idx]
-                for i in range(len(cs)))
+            lo = cs[0]
+            lo_cap = lo.capacity
+            lo_i = 0
+            second = None
+            second_cap = 0.0
+            for i in range(1, n):
+                c = cs[i]
+                cap = c.capacity
+                if cap < lo_cap:
+                    second, second_cap = lo, lo_cap
+                    lo, lo_cap, lo_i = c, cap, i
+                elif second is None or cap < second_cap:
+                    second, second_cap = c, cap
+            witness = [lo] * n
+            witness[lo_i] = second
+            self._witness = tuple(witness)
         self.done = done
         self._last_update = now
         #: Fill id this demand was last frozen in (or, outside a region,
@@ -585,7 +598,7 @@ class _UniformGroup:
             queue.uniform_completions += 1
             queue._unregister(d)
             if not d.done.triggered:
-                d.done.succeed(d)
+                d.done.succeed(None)
         if members:
             # Departures raised the common share; if it now exceeds what
             # some shared span constraint can sustain, the allocation is
@@ -684,8 +697,10 @@ class FairQueue:
                done: Optional[Event] = None) -> Demand:
         """Start draining ``size`` bytes through ``constraints``.
 
-        The returned demand's ``done`` event succeeds (value = the demand)
+        The returned demand's ``done`` event succeeds (value ``None``)
         when the last byte drains.  Zero-byte demands complete immediately.
+        The event never points back at the demand, so a finished demand
+        is freed by reference counting once its owner drops it.
         """
         if size < 0:
             raise ValueError(f"cannot drain {size!r} bytes")
@@ -693,7 +708,7 @@ class FairQueue:
             done = self.sim.event()
         demand = Demand(size, constraints, done, self.sim.now)
         if size == 0 or not demand.constraints:
-            done.succeed(demand)
+            done.succeed(None)
             return demand
         self.start(demand)
         return demand
@@ -1154,7 +1169,7 @@ class FairQueue:
         for d in drained:
             self._unregister(d)
             if not d.done.triggered:
-                d.done.succeed(d)
+                d.done.succeed(None)
         for link, level, min_remaining in bnecks:
             # In a closed region a bottleneck whose every demand froze
             # there is a whole component on its own: try virtual-clock
@@ -1377,5 +1392,5 @@ class FairQueue:
         self.completion_fast_paths += 1
         self._unregister(d)
         if not d.done.triggered:
-            d.done.succeed(d)
+            d.done.succeed(None)
         return True
