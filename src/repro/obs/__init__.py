@@ -12,6 +12,8 @@ the scattered ad-hoc counters that used to be hand-plucked per consumer:
 - :mod:`repro.obs.trace` — a causal tracer (job → task attempt →
   shuffle/HDFS flow spans with parent ids, heartbeat-round and
   filling-pass events) exportable as Chrome trace-event JSON;
+- :mod:`repro.obs.memory` — per-phase garbage-collector runs and peak
+  RSS, read at phase boundaries only;
 - :mod:`repro.obs.diff` — the run-diff engine behind
   ``python -m repro.obs.inspect --diff`` and the scale-sweep benchmark's
   ``--check-against`` regression gate;

@@ -8,8 +8,9 @@ Usage::
 
 Without ``--diff``, renders one ``ScenarioResult`` JSON (or a
 ``BENCH_scale.json`` report) for terminal reading: the registry-fed
-counter sections, the engine self-profile, the tracer roll-up, and —
-when the run sampled gauges — per-phase timeline plots drawn with
+counter sections, the engine self-profile, the tracer roll-up, the
+per-phase memory table (collector runs, peak RSS), and — when the run
+sampled gauges — per-phase timeline plots drawn with
 :mod:`repro.metrics.ascii_plot`.
 
 With ``--diff BASELINE``, compares BASELINE (old) against the
@@ -61,6 +62,31 @@ def _print_section(name: str, section: dict, out: List[str]) -> None:
             out.append(f"  {key:{width}s} {_fmt_value(value)}")
 
 
+def _memory_totals(memory: Optional[dict]) -> str:
+    """``gc=[g0, g1, g2] maxrss=X MiB`` over a record's memory phases."""
+    phases = (memory or {}).get("phases") or []
+    if not phases:
+        return ""
+    totals = [sum(col) for col in zip(*(p["gc_collections"] for p in phases))]
+    rss = phases[-1].get("maxrss_mb")
+    return (f"gc={_fmt_value(totals)} maxrss="
+            + ("?" if rss is None else f"{rss:.1f}MiB"))
+
+
+def _render_memory(memory: Optional[dict], out: List[str]) -> None:
+    phases = (memory or {}).get("phases") or []
+    if not phases:
+        return
+    out.append("\n[memory]  collector runs per generation, peak RSS so far")
+    for p in phases:
+        gen = p["gc_collections"]
+        rss = p.get("maxrss_mb")
+        out.append(f"  {p['name']:10s} gc0={gen[0]:>5} gc1={gen[1]:>4} "
+                   f"gc2={gen[2]:>3}  maxrss="
+                   + ("?" if rss is None else f"{rss:.1f}MiB"))
+    out.append(f"  {'total':10s} {_memory_totals(memory)}")
+
+
 def _render_result(record: dict, width: int, plots: bool) -> str:
     out: List[str] = []
     out.append(f"scenario {record.get('scenario', '?')!r}  "
@@ -84,6 +110,7 @@ def _render_result(record: dict, width: int, plots: bool) -> str:
         section = record.get(name)
         if section:
             _print_section(name, section, out)
+    _render_memory(record.get("memory"), out)
     timelines = record.get("timelines")
     if timelines and plots:
         for phase, gauges in timelines.items():
@@ -106,6 +133,8 @@ def _render_result(record: dict, width: int, plots: bool) -> str:
 
 def _render_bench(report: dict, out: List[str]) -> None:
     out.append(f"benchmark report: {report.get('benchmark', '?')}")
+    if report.get("host_ref_s") is not None:
+        out.append(f"  host reference spin {report['host_ref_s']:.3f}s")
     for section in ("points", "contended_points", "frontier_points"):
         recs = report.get(section) or []
         if not recs:
@@ -122,6 +151,9 @@ def _render_bench(report: dict, out: List[str]) -> None:
                 line += (f"  parked={control['parked_beats']} "
                          f"wakes={control['park_wakes']} "
                          f"ties={control['park_ties']}")
+            memory = _memory_totals(rec.get("memory"))
+            if memory:
+                line += f"  {memory}"
             out.append(line)
 
 

@@ -40,6 +40,7 @@ from ..hdfs.balancer import Balancer
 from ..hdfs.config import hog_config
 from ..mapreduce.config import hog_mr_config
 from ..metrics.report import WorkloadResult
+from ..obs.memory import MemoryMeter
 from ..obs.probes import ProbeSet
 from ..obs.trace import Tracer
 from ..sim.engine import Simulator
@@ -185,6 +186,9 @@ class ScenarioResult:
     #: obs-only — stripped from :meth:`payload` so the checker being
     #: on/off cannot change the determinism payload.
     invariants: Optional[dict] = None
+    #: Per-phase garbage-collector runs and peak RSS
+    #: (:class:`~repro.obs.memory.MemoryMeter`); obs-only.
+    memory: Optional[dict] = None
 
     @property
     def events_per_second(self) -> Optional[int]:
@@ -222,6 +226,7 @@ class ScenarioResult:
             "engine": self.engine,
             "trace": self.trace,
             "invariants": self.invariants,
+            "memory": self.memory,
         }
 
     def payload(self) -> dict:
@@ -246,6 +251,7 @@ class ScenarioResult:
         d.pop("engine")
         d.pop("trace")
         d.pop("invariants")
+        d.pop("memory", None)
         # Heartbeat parking counts how beats were dispatched, not what
         # the simulation did: obs-only.
         d["control"] = {k: v for k, v in d["control"].items()
@@ -369,9 +375,11 @@ class ScenarioRunner:
         phases: List[PhaseStat] = []
         #: (name, sim start, sim end) per phase, for timeline slicing.
         phase_bounds: List[tuple] = []
+        memory = MemoryMeter()
         wall_start = time.perf_counter()
 
         def phase(name: str, t0: float, s0: float) -> None:
+            memory.mark(name)
             phases.append(PhaseStat(name, time.perf_counter() - t0,
                                     sim.now - s0))
             phase_bounds.append((name, s0, sim.now))
@@ -511,6 +519,7 @@ class ScenarioRunner:
             trace=(self.tracer.stats() if self.tracer is not None else None),
             invariants=(self.checker.summary() if self.checker is not None
                         else None),
+            memory=memory.as_dict(),
         )
         return self.result
 

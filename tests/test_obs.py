@@ -9,6 +9,7 @@ Chrome trace export's validity, and the run-diff engine behind
 ``python -m repro.obs.inspect --diff`` and the bench regression gate.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,38 @@ class TestZeroImpactContract:
             series = gauges[name]
             assert len(series["t"]) == len(series["v"]) > 0
             assert series["t"] == sorted(series["t"])
+
+
+class TestMemorySection:
+    def test_memory_phases_follow_the_runner_phases(self, obs_matrix):
+        _, off = obs_matrix["churn_heavy"]["off"]
+        phases = off.memory["phases"]
+        assert [p["name"] for p in phases] == [p.name for p in off.phases]
+        for p in phases:
+            assert len(p["gc_collections"]) == 3
+            assert min(p["gc_collections"]) >= 0
+            assert p["maxrss_mb"] > 0
+        rss = [p["maxrss_mb"] for p in phases]
+        assert rss == sorted(rss)  # a running peak
+
+    @pytest.mark.parametrize("scenario", ["wan_staging", "churn_heavy"])
+    def test_payload_byte_identical_with_memory_section(self, obs_matrix,
+                                                        scenario):
+        """The section is in the record, never in the payload: dropping
+        it (or a record that predates it) leaves the payload unchanged."""
+        _, result = obs_matrix[scenario]["off"]
+        record = result.to_dict()
+        assert record["memory"] == result.memory
+        assert "memory" not in result.payload()
+        with_memory = json.dumps(result.payload(), sort_keys=True)
+        without = dict(record)
+        del without["memory"]
+        assert json.dumps(type(result).payload_of(without),
+                          sort_keys=True) == with_memory
+        result_none = json.dumps(
+            dataclasses.replace(result, memory=None).payload(),
+            sort_keys=True)
+        assert result_none == with_memory
 
 
 class TestChromeExport:
@@ -349,6 +382,20 @@ class TestInspectCli:
         assert "scenario 'baseline'" in out
         assert "[channel]" in out and "heartbeat_rounds" in out
         assert "running_nodes" in out  # the timeline plot rendered
+
+    def test_render_memory_section(self, tmp_path, capsys):
+        memory = {"phases": [
+            {"name": "ramp", "gc_collections": [40, 3, 1],
+             "maxrss_mb": 50.5},
+            {"name": "workload", "gc_collections": [110, 9, 0],
+             "maxrss_mb": 57.0}]}
+        path = self._write(tmp_path, "r.json",
+                           self._result_record(memory=memory))
+        assert inspect_main([path, "--no-plots"]) == 0
+        out = capsys.readouterr().out
+        assert "[memory]" in out
+        assert "gc0=  110" in out and "maxrss=57.0MiB" in out
+        assert "gc=[150, 12, 1] maxrss=57.0MiB" in out
 
     def test_diff_flags_injected_regression(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", self._result_record())
