@@ -25,6 +25,13 @@ three runs of one spec (one run under ``--smoke``), and the runs must
 agree on everything but their wall clocks: a single run's wall time
 varies more than the events/s floor of ``--check-against`` allows.
 
+The report records a host reference time (``host_ref_s``: the fastest
+of a few runs of a fixed pure-Python heap loop).  ``--check-against``
+scales the baseline's wall-derived values by the ratio of the two
+reports' reference times before judging them, so a baseline recorded
+on a faster or slower day is compared at this host's speed; a baseline
+without the field is compared unscaled, and the sweep says so.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scale_sweep.py              # 100..1000 + 10k frontier
@@ -42,9 +49,12 @@ fast test tier can keep the harness itself from rotting.
 from __future__ import annotations
 
 import argparse
+import copy
+import heapq
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List
 
@@ -87,6 +97,43 @@ SCENARIO_SECTION_SCALE = 0.05
 #: decisions, so the perf keys stay comparable with pre-obs baselines.
 BENCH_SAMPLE_INTERVAL = 60.0
 BENCH_TIMELINE_POINTS = 128
+#: Runs of the host reference loop; the fastest is recorded.
+HOST_REF_SPINS = 5
+#: Sections whose records carry top-level wall-derived values.
+_POINT_SECTIONS = ("points", "contended_points", "frontier_points")
+
+
+def host_reference_s(spins: int = HOST_REF_SPINS) -> float:
+    """Seconds this host takes, at best of ``spins``, for a fixed
+    pure-Python heap loop: the pop/push-and-call shape of the engine's
+    dispatch, so its time follows the host's speed at simulator work."""
+    best = float("inf")
+    for _ in range(spins):
+        t0 = time.perf_counter()
+        heap = [(float(i % 97), i) for i in range(2048)]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        for _ in range(100_000):
+            when, i = pop(heap)
+            push(heap, (when + 1.0 + (i % 7), i))
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def scale_to_host(baseline: dict, factor: float) -> dict:
+    """A copy of a bench report as if recorded on a host ``factor`` times
+    slower: every record's ``wall_seconds`` times ``factor``, its
+    ``events_per_second`` divided by it."""
+    scaled = copy.deepcopy(baseline)
+    records = [rec for section in _POINT_SECTIONS
+               for rec in scaled.get(section) or []]
+    records += list((scaled.get("scenarios") or {}).values())
+    for rec in records:
+        if rec.get("wall_seconds") is not None:
+            rec["wall_seconds"] = rec["wall_seconds"] * factor
+        if rec.get("events_per_second") is not None:
+            rec["events_per_second"] = rec["events_per_second"] / factor
+    return scaled
 
 
 def contended_loadgen():
@@ -112,9 +159,9 @@ def _fastest(label: str, group: List[dict], payload_of) -> dict:
 
 
 def _point_payload(record: dict) -> dict:
-    """A sweep-point record without its wall-clock fields."""
+    """A sweep-point record without its wall-clock and memory fields."""
     return {k: v for k, v in record.items()
-            if k not in ("wall_seconds", "events_per_second")}
+            if k not in ("wall_seconds", "events_per_second", "memory")}
 
 
 def run_point(n_nodes: int, scale: float, seed: int,
@@ -187,6 +234,8 @@ def _run_once(n_nodes: int, scale: float, seed: int, scenario: str,
         # Dispatch-loop self-profile: event mix, callback-timer fires,
         # free-list reuses, and same-instant batch sizes.
         "engine": result.engine,
+        # Per-phase collector runs and peak RSS (obs-only).
+        "memory": result.memory,
     }
 
 
@@ -265,6 +314,8 @@ def main(argv=None) -> int:
                         help="allowed absolute fast-path-rate drop "
                              "(default 0.05)")
     args = parser.parse_args(argv)
+    host_ref = round(host_reference_s(), 4)
+    print(f"[scale-sweep] host reference spin {host_ref:.3f}s", flush=True)
 
     if args.smoke_100k:
         if args.output == DEFAULT_OUTPUT:
@@ -280,6 +331,7 @@ def main(argv=None) -> int:
             "description": "100k-pilot control-plane survival check "
                            "(ramp capped by the central package server)",
             "python": sys.version.split()[0],
+            "host_ref_s": host_ref,
             "points": [record],
         }
         args.output.write_text(json.dumps(report, indent=2) + "\n")
@@ -347,6 +399,7 @@ def main(argv=None) -> int:
                        "telemetry), plus every registry scenario; each "
                        "record is the fastest of its runs",
         "python": sys.version.split()[0],
+        "host_ref_s": host_ref,
         "points": points,
         "contended_points": contended_points,
         "frontier_points": frontier_points,
@@ -386,6 +439,15 @@ def _check_against(args, report: dict) -> int:
         thresholds.eps_floor = args.check_eps_floor
     if args.check_fastpath_drop is not None:
         thresholds.fastpath_drop = args.check_fastpath_drop
+    old_ref, new_ref = baseline.get("host_ref_s"), report.get("host_ref_s")
+    if old_ref and new_ref:
+        factor = new_ref / old_ref
+        baseline = scale_to_host(baseline, factor)
+        print(f"[scale-sweep] host reference {old_ref:.3f}s -> "
+              f"{new_ref:.3f}s: baseline wall values scaled x{factor:.2f}")
+    else:
+        print("[scale-sweep] baseline or report has no host_ref_s: "
+              "wall values compared unscaled")
     entries, notes = diff_reports(baseline, report, thresholds)
     for note in notes:
         print(f"[scale-sweep] note: {note}")

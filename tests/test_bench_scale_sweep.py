@@ -31,6 +31,7 @@ class TestSmokeMode:
         assert bench.main(["--smoke", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["benchmark"] == "bench_scale_sweep"
+        assert report["host_ref_s"] > 0
         assert len(report["points"]) == 1
         assert len(report["contended_points"]) == 1
 
@@ -95,6 +96,9 @@ class TestSmokeMode:
             base["fabric_rebalances"]
         assert base["registry"]["control"] == base["control"]
         assert base["timelines"]
+        # ... and the obs-only memory section, phase by phase.
+        assert [p["name"] for p in base["memory"]["phases"]][:2] == \
+            ["ramp", "preload"]
         workload = base["timelines"].get("workload", {})
         assert "running_nodes" in workload and "active_flows" in workload
         for record in section.values():
@@ -241,3 +245,74 @@ class TestSweepPointTiming:
                         events=[1000, 1000, 1001])
         with pytest.raises(RuntimeError, match="different payloads"):
             bench.run_point(100, 0.25, 0, runs=3)
+
+
+class TestHostScaling:
+    """``--check-against`` judges wall-derived values at this host's
+    speed: the baseline's walls are scaled by the ratio of the two
+    reports' host reference times."""
+
+    @staticmethod
+    def _report(host_ref, wall):
+        return {"benchmark": "bench_scale_sweep", "host_ref_s": host_ref,
+                "points": [{"scenario": "baseline", "nodes": 100,
+                            "wall_seconds": wall, "events": 100_000,
+                            "events_per_second": round(100_000 / wall),
+                            "workload_response_seconds": 10.0,
+                            "failed_jobs": 0, "control": {}}],
+                "scenarios": {"blackout": {
+                    "scenario": "blackout", "nodes": 40,
+                    "wall_seconds": wall, "events": 50_000,
+                    "events_per_second": round(50_000 / wall),
+                    "makespan_seconds": 100.0, "failed_jobs": 0}}}
+
+    @staticmethod
+    def _check(bench, tmp_path, baseline, report):
+        import argparse
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        ns = argparse.Namespace(check_against=path,
+                                check_wall_tolerance=None,
+                                check_eps_floor=None,
+                                check_fastpath_drop=None)
+        return bench._check_against(ns, report)
+
+    @pytest.mark.parametrize("old_ref,new_ref,old_wall,new_wall", [
+        # Checked on a host twice as slow as the baseline's: walls double.
+        (0.1, 0.2, 2.0, 4.0),
+        # Baseline recorded on a host twice as slow as this one.
+        (0.2, 0.1, 4.0, 2.0),
+    ])
+    def test_other_host_speed_is_not_a_regression(
+            self, tmp_path, capsys, old_ref, new_ref, old_wall, new_wall):
+        bench = _load_bench_module()
+        assert self._check(bench, tmp_path,
+                           self._report(old_ref, old_wall),
+                           self._report(new_ref, new_wall)) == 0
+        assert "scaled x" in capsys.readouterr().out
+
+    def test_real_slowdown_on_an_equal_host_is_flagged(self, tmp_path,
+                                                       capsys):
+        bench = _load_bench_module()
+        assert self._check(bench, tmp_path, self._report(0.1, 2.0),
+                           self._report(0.1, 4.0)) == 1
+        out = capsys.readouterr().out
+        assert "events/s below" in out and "wall regression" in out
+
+    def test_baseline_without_reference_is_compared_unscaled(
+            self, tmp_path, capsys):
+        bench = _load_bench_module()
+        baseline = self._report(0.1, 2.0)
+        del baseline["host_ref_s"]
+        assert self._check(bench, tmp_path, baseline,
+                           self._report(0.2, 4.0)) == 1
+        assert "compared unscaled" in capsys.readouterr().out
+
+    def test_scaling_leaves_the_baseline_unchanged(self):
+        bench = _load_bench_module()
+        baseline = self._report(0.1, 2.0)
+        scaled = bench.scale_to_host(baseline, 2.0)
+        assert baseline["points"][0]["wall_seconds"] == 2.0
+        assert scaled["points"][0]["wall_seconds"] == 4.0
+        assert scaled["scenarios"]["blackout"]["events_per_second"] == \
+            baseline["scenarios"]["blackout"]["events_per_second"] / 2.0
