@@ -62,8 +62,10 @@ class DelayScheduler(FifoScheduler):
     def _try_map(self, job: Job, tracker):
         if tracker.host in job.blacklist:
             return None
-        if job.pending_map_tasks:
-            task, locality = self._most_local(job, tracker)
+        pick = self._most_local(job, tracker) if job.pending_map_tasks \
+            else None
+        if pick is not None:
+            task, locality = pick
             allowed = self._allowed_locality(job)
             if locality == "data_local" or allowed == "remote" or \
                     (locality == "site_local" and allowed == "site_local"):

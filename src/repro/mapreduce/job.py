@@ -132,7 +132,7 @@ class Task:
     """One map or reduce task of a job."""
 
     __slots__ = ("job", "type", "index", "status", "attempts", "failures",
-                 "finish_time", "completed_on")
+                 "finish_time", "completed_on", "failed_on")
 
     def __init__(self, job: "Job", task_type: str, index: int) -> None:
         self.job = job
@@ -144,6 +144,16 @@ class Task:
         self.finish_time: Optional[float] = None
         #: Host the winning attempt ran on.
         self.completed_on: Optional[str] = None
+        #: Hosts an attempt of this task failed on (None until one does).
+        self.failed_on: Optional[Set[str]] = None
+
+    def may_run_on(self, host: str, live_trackers: int) -> bool:
+        """Hadoop 1.x ``TaskInProgress.hasFailedOnMachine``: a task is
+        not offered to a host it already failed on, unless it has failed
+        on at least as many hosts as there are live trackers."""
+        failed = self.failed_on
+        return failed is None or host not in failed \
+            or len(failed) >= live_trackers
 
     def set_status(self, new_status: str) -> None:
         """Transition status, keeping the job's progress counters exact.

@@ -14,7 +14,10 @@ Grid failure handling implemented here:
 - shuffle fetch failures: reported by reducers; the map re-runs when its
   output host is gone;
 - per-job tracker blacklisting after repeated failures (which is what
-  eventually sidelines §IV-D1 zombie tasktrackers).
+  eventually sidelines §IV-D1 zombie tasktrackers);
+- a failed task is not offered again to a host it failed on
+  (:meth:`~repro.mapreduce.job.Task.may_run_on`), so one tracker whose
+  disk died cannot use up all of a task's attempts.
 """
 
 from __future__ import annotations
@@ -636,6 +639,9 @@ class JobTracker:
         if task.status == TaskStatus.COMPLETED or job.status != JobStatus.RUNNING:
             return
         task.failures += 1
+        if task.failed_on is None:
+            task.failed_on = set()
+        task.failed_on.add(attempt.tracker.host)
         self.counters.incr("attempts_failed")
         key = (job.job_id, attempt.tracker.host)
         self._tracker_failures[key] = self._tracker_failures.get(key, 0) + 1

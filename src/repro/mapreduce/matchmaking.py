@@ -59,20 +59,22 @@ class MatchmakingScheduler(FifoScheduler):
         for job in self.index.jobs_with_local_maps(host):
             if host in job.blacklist:
                 continue
-            tasks = self.index.locality(job).host_maps.get(host)
-            if tasks:
+            task = self._runnable(
+                self.index.locality(job).host_maps.get(host, ()), host)
+            if task is not None:
                 self._marker.pop(host, None)
-                return next(iter(tasks)), False, "data_local"
+                return task, False, "data_local"
 
         # Pass 2: site-local, same shape.
         site = self.jobtracker.topology.site_of(host)
         for job in self.index.jobs_with_site_maps(site):
             if host in job.blacklist:
                 continue
-            tasks = self.index.locality(job).site_maps.get(site)
-            if tasks:
+            task = self._runnable(
+                self.index.locality(job).site_maps.get(site, ()), host)
+            if task is not None:
                 self._marker.pop(host, None)
-                return next(iter(tasks)), False, "site_local"
+                return task, False, "site_local"
 
         # Pass 3: non-local — only for a node already marked (it waited
         # one round), and only from the head-of-queue job (FIFO fairness).
@@ -81,9 +83,10 @@ class MatchmakingScheduler(FifoScheduler):
             for job in self.index.map_candidates(speculative):
                 if host in job.blacklist:
                     continue
-                if job.pending_map_tasks:
+                task = self._runnable(job.pending_map_tasks, host)
+                if task is not None:
                     self._marker.pop(host, None)
-                    return next(iter(job.pending_map_tasks)), False, "remote"
+                    return task, False, "remote"
                 if speculative:
                     cand = self._probe_speculation(job, TaskType.MAP, tracker)
                     if cand is not None:

@@ -12,7 +12,8 @@ will attempt to schedule the Map task in the same site as the input data."
 
 Like Hadoop 0.20, a heartbeat is answered with at most one map and one
 reduce: each picker runs once, so no pick has to skip a task chosen
-earlier in the same beat.
+earlier in the same beat.  Every picker skips a task on a host it has
+already failed on (:meth:`~repro.mapreduce.job.Task.may_run_on`).
 
 Scheduling is *index-driven*: the cluster-wide
 :class:`~repro.mapreduce.pending_index.ClusterPendingIndex` is updated on
@@ -150,29 +151,49 @@ class FifoScheduler:
         if tracker.host in job.blacklist:
             return None
         if job.pending_map_tasks:
-            task, locality = self._most_local(job, tracker)
-            return task, False, locality
+            pick = self._most_local(job, tracker)
+            if pick is not None:
+                return pick[0], False, pick[1]
         if self.config.speculative_execution:
             cand = self._probe_speculation(job, TaskType.MAP, tracker)
             if cand is not None:
                 return cand, True, self._locality_of(job, cand, tracker)
         return None
 
-    def _most_local(self, job: Job, tracker) -> Tuple[Task, str]:
+    def _runnable(self, tasks, host: str) -> Optional[Task]:
+        """The first of ``tasks`` that may run on ``host`` (None if none
+        may): the first task itself unless some task failed there."""
+        live = -1
+        for task in tasks:
+            if task.failed_on is None:
+                return task
+            if live < 0:
+                live = self.jobtracker.live_tracker_count()
+            if task.may_run_on(host, live):
+                return task
+        return None
+
+    def _most_local(self, job: Job, tracker) -> Optional[Tuple[Task, str]]:
         """Locality ladder: node-local block → site-local block → any.
 
         Called only for a job with a pending map.  The per-host/per-site
         lists hold exactly the PENDING tasks (the cluster index maintains
         them on transitions), so each rung is a first-entry lookup — no
-        status checks, no pruning."""
+        status checks, no pruning — unless a task on it failed on this
+        host.  None when every pending map failed on this host."""
+        host = tracker.host
         idx = self.index.locality(job)
-        tasks = idx.host_maps.get(tracker.host)
-        if tasks:
-            return next(iter(tasks)), "data_local"
-        tasks = idx.site_maps.get(self.jobtracker.topology.site_of(tracker.host))
-        if tasks:
-            return next(iter(tasks)), "site_local"
-        return next(iter(job.pending_map_tasks)), "remote"
+        task = self._runnable(idx.host_maps.get(host, ()), host)
+        if task is not None:
+            return task, "data_local"
+        site = self.jobtracker.topology.site_of(host)
+        task = self._runnable(idx.site_maps.get(site, ()), host)
+        if task is not None:
+            return task, "site_local"
+        task = self._runnable(job.pending_map_tasks, host)
+        if task is not None:
+            return task, "remote"
+        return None
 
     def _locality_of(self, job: Job, task: Task, tracker) -> str:
         # Answer from the build-time location snapshot, NOT the pending
@@ -202,9 +223,16 @@ class FifoScheduler:
             return None
         if not job.reduces_schedulable(self.config.reduce_slowstart):
             return None
-        if job.pending_reduce_tasks:
-            best = min(job.pending_reduce_tasks, key=lambda t: t.index)
-            return best, False, "n/a"
+        pending = job.pending_reduce_tasks
+        if pending:
+            host = tracker.host
+            best = min(pending, key=lambda t: t.index)
+            if best.failed_on is not None:
+                live = self.jobtracker.live_tracker_count()
+                best = min((t for t in pending if t.may_run_on(host, live)),
+                           key=lambda t: t.index, default=None)
+            if best is not None:
+                return best, False, "n/a"
         if self.config.speculative_execution:
             cand = self._probe_speculation(job, TaskType.REDUCE, tracker)
             if cand is not None:
@@ -272,11 +300,15 @@ class FifoScheduler:
             return None
         best: Optional[Task] = None
         best_elapsed = threshold
+        host = tracker.host
+        live = self.jobtracker.live_tracker_count()
         for task in running_set:
             running = task.running_attempts
             if not running or len(running) >= self.config.max_task_copies:
                 continue
-            if any(a.tracker.host == tracker.host for a in running):
+            if any(a.tracker.host == host for a in running):
+                continue
+            if not task.may_run_on(host, live):
                 continue
             elapsed = now - min(a.start_time for a in running)
             if elapsed >= best_elapsed:

@@ -268,6 +268,33 @@ class TestFailureRecovery:
         assert h.jobtracker.counters.get("attempts_failed") >= 1
         assert victim in job.blacklist
 
+    def test_dead_disk_tracker_cannot_use_up_a_tasks_attempts(self):
+        """Hadoop 1.x ``hasFailedOnMachine``: a task is not offered again
+        to a tracker it failed on.  A tracker whose disk died fails each
+        attempt at once and is free again; while every other tracker is
+        busy, it would take all ``max_attempts`` of one task before the
+        per-job blacklist acts, and fail the job."""
+        h = MRHarness(n_nodes=2, n_sites=1, hdfs_config=hog_config(
+                          replication=2, disk_check_interval=None),
+                      mr_config=hog_mr_config())
+        h.client().preload_file("/in/short", h.hdfs_config.block_size)
+        busy = h.submit("busy", num_maps=2, num_reduces=0,
+                        map_cpu_per_block=2000.0)
+        h.run(until=30.0)
+        assert busy.running_map_tasks
+        victim = "node099.site0.edu"
+        h.add_node(victim)
+        h.disks[victim].wipe()
+        job = h.submit("short", num_maps=1, num_reduces=1,
+                       input_file="/in/short")
+        h.run_to_completion([busy, job])
+        assert job.status == JobStatus.SUCCEEDED
+        assert h.jobtracker.counters.get("attempts_failed") >= 1
+        for task in job.maps + job.reduces:
+            on_victim = [a for a in task.attempts
+                         if a.tracker.host == victim]
+            assert len(on_victim) <= 1, task
+
     def test_tracker_rejoin_reregisters(self):
         h = MRHarness(n_nodes=2, n_sites=1, mr_config=hog_mr_config())
         victim = h.hosts()[0]
