@@ -254,6 +254,8 @@ class TestDeterminismGuard:
             d.pop("engine")
             d.pop("trace")
             d.pop("invariants")
+            # Collector runs and peak RSS vary with the process.
+            d.pop("memory")
             d["control"] = {k: v for k, v in d["control"].items()
                             if k not in PARK_KEYS}
             d["phases"] = [{"name": p["name"],
