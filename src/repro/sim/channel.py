@@ -239,14 +239,11 @@ class Demand:
         # Ties go to the first index, for the tightest and the runner-up.
         cs = self.constraints
         n = len(cs)
-        if n == 1:
-            self._witness: Tuple[Optional[Constraint], ...] = (None,)
+        if n <= 1:
+            self._witness: Tuple[Optional[Constraint], ...] = (None,) * n
         else:
-            lo = cs[0]
-            lo_cap = lo.capacity
-            lo_i = 0
-            second = None
-            second_cap = 0.0
+            lo, lo_cap, lo_i = cs[0], cs[0].capacity, 0
+            second, second_cap = None, 0.0
             for i in range(1, n):
                 c = cs[i]
                 cap = c.capacity

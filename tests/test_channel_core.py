@@ -1063,6 +1063,29 @@ class TestLifecycle:
         assert d.done.triggered
         assert q.active_demands == 0
 
+    def test_unconstrained_demand_completes_immediately(self):
+        sim = Simulator()
+        q = FairQueue(sim)
+        d = q.submit(10.0, [])
+        assert d.done.triggered and d.done.value is None
+        assert q.active_demands == 0
+
+    @pytest.mark.parametrize("caps,tight,runner_up", [
+        ((5.0, 3.0, 3.0), 1, 2),
+        ((3.0, 5.0, 3.0), 0, 2),
+        ((3.0, 3.0, 5.0), 0, 1),
+        ((4.0, 3.0, 3.0, 3.0), 1, 2),
+        ((7.0, 7.0), 0, 1),
+    ])
+    def test_witness_is_first_tightest_other_constraint(self, caps, tight,
+                                                        runner_up):
+        sim = Simulator()
+        q = FairQueue(sim)
+        cs = [q.constraint(f"c{i}", cap) for i, cap in enumerate(caps)]
+        d = q.submit(1.0, cs)
+        assert d._witness == tuple(cs[runner_up] if i == tight else cs[tight]
+                                   for i in range(len(cs)))
+
     def test_negative_size_rejected(self):
         sim = Simulator()
         q = FairQueue(sim)
