@@ -62,15 +62,18 @@ def _print_section(name: str, section: dict, out: List[str]) -> None:
             out.append(f"  {key:{width}s} {_fmt_value(value)}")
 
 
+def _fmt_rss(rss: Optional[float]) -> str:
+    return "?" if rss is None else f"{rss:.1f}MiB"
+
+
 def _memory_totals(memory: Optional[dict]) -> str:
     """``gc=[g0, g1, g2] maxrss=X MiB`` over a record's memory phases."""
     phases = (memory or {}).get("phases") or []
     if not phases:
         return ""
     totals = [sum(col) for col in zip(*(p["gc_collections"] for p in phases))]
-    rss = phases[-1].get("maxrss_mb")
-    return (f"gc={_fmt_value(totals)} maxrss="
-            + ("?" if rss is None else f"{rss:.1f}MiB"))
+    return (f"gc={_fmt_value(totals)} "
+            f"maxrss={_fmt_rss(phases[-1].get('maxrss_mb'))}")
 
 
 def _render_memory(memory: Optional[dict], out: List[str]) -> None:
@@ -80,10 +83,9 @@ def _render_memory(memory: Optional[dict], out: List[str]) -> None:
     out.append("\n[memory]  collector runs per generation, peak RSS so far")
     for p in phases:
         gen = p["gc_collections"]
-        rss = p.get("maxrss_mb")
         out.append(f"  {p['name']:10s} gc0={gen[0]:>5} gc1={gen[1]:>4} "
-                   f"gc2={gen[2]:>3}  maxrss="
-                   + ("?" if rss is None else f"{rss:.1f}MiB"))
+                   f"gc2={gen[2]:>3}  "
+                   f"maxrss={_fmt_rss(p.get('maxrss_mb'))}")
     out.append(f"  {'total':10s} {_memory_totals(memory)}")
 
 

@@ -61,4 +61,4 @@ class MemoryMeter:
         self._last = now
 
     def as_dict(self) -> dict:
-        return {"phases": [dict(p) for p in self.phases]}
+        return {"phases": self.phases}
