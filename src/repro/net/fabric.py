@@ -37,7 +37,7 @@ store-and-forward).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..sim.channel import Constraint, Demand, FairQueue
 from ..sim.engine import Simulator
@@ -242,10 +242,9 @@ class NetworkFabric:
             for flow in bucket:
                 pending[flow] = None
         for flow in list(pending):
-            if self.topology.same_site(flow.src, flow.dst):
-                continue
-            if site not in (self.topology.site_of(flow.src),
-                            self.topology.site_of(flow.dst)):
+            src_site = self.topology.site_of(flow.src)
+            dst_site = self.topology.site_of(flow.dst)
+            if src_site == dst_site or site not in (src_site, dst_site):
                 continue
             self._unindex_pending(flow)
             if not flow.done.triggered:
@@ -258,16 +257,6 @@ class NetworkFabric:
     def heal_site(self, site: str) -> None:
         """End a WAN partition started by :meth:`partition_site`."""
         self._partitioned_sites.pop(site, None)
-
-    def _path(self, src: str, dst: str) -> Tuple[List[Link], bool]:
-        """Links for a src→dst flow and whether it stays inside one site."""
-        same = self.topology.same_site(src, dst)
-        links = [self._nic(src, "tx")]
-        if not same:
-            links.append(self._wan(self.topology.site_of(src), "tx"))
-            links.append(self._wan(self.topology.site_of(dst), "rx"))
-        links.append(self._nic(dst, "rx"))
-        return links, same
 
     # -- public API ------------------------------------------------------------
     def latency(self, src: str, dst: str) -> float:
@@ -312,24 +301,35 @@ class NetworkFabric:
             links: List[Constraint] = list(extra_constraints)
             delay = 0.0
         else:
-            links, same = self._path(src, dst)
-            if not same and self._partitioned_sites and (
-                    self.topology.site_of(src) in self._partitioned_sites
-                    or self.topology.site_of(dst) in self._partitioned_sites):
-                # Cross-site stream into a partitioned site: fail fast
-                # (after the would-be connection setup) so callers' retry
-                # paths run instead of the flow stalling on a dead link
-                # forever.
-                def refuse(_arg: Any) -> None:
-                    if not done.triggered:
-                        done.fail(TransferFailed(
-                            f"wan partition blocks {src}->{dst}"))
-                        done.defused()
-                self.sim.call_after(self._setup_delay(src, dst), refuse)
-                return done
+            # The two endpoint sites, looked up once, give the path, the
+            # partition check and the setup delay.
+            src_site = self.topology.site_of(src)
+            dst_site = self.topology.site_of(dst)
+            links = [self._nic(src, "tx")]
+            if src_site == dst_site:
+                links.append(self._nic(dst, "rx"))
+                delay = self._setup_delay(self.config.intra_site_latency)
+            else:
+                links.append(self._wan(src_site, "tx"))
+                links.append(self._wan(dst_site, "rx"))
+                links.append(self._nic(dst, "rx"))
+                delay = self._setup_delay(self.config.inter_site_latency)
+                partitioned = self._partitioned_sites
+                if partitioned and (src_site in partitioned
+                                    or dst_site in partitioned):
+                    # Cross-site stream into a partitioned site: fail fast
+                    # (after the would-be connection setup) so callers'
+                    # retry paths run instead of the flow stalling on a
+                    # dead link forever.
+                    def refuse(_arg: Any) -> None:
+                        if not done.triggered:
+                            done.fail(TransferFailed(
+                                f"wan partition blocks {src}->{dst}"))
+                            done.defused()
+                    self.sim.call_after(delay, refuse)
+                    return done
             if extra_constraints:
                 links.extend(extra_constraints)
-            delay = self._setup_delay(src, dst)
 
         self._flow_counter += 1
         flow = Flow(self._flow_counter, src, dst, nbytes, links, done,
@@ -386,9 +386,9 @@ class NetworkFabric:
                 if not bucket:
                     del self._pending_by_host[host]
 
-    def _setup_delay(self, src: str, dst: str) -> float:
-        """Pre-transfer delay: one-way latency + connection setup."""
-        lat = self.latency(src, dst)
+    def _setup_delay(self, lat: float) -> float:
+        """Pre-transfer delay over a one-way latency ``lat``: the latency
+        plus connection setup."""
         return (lat + self.config.connection_overhead
                 + self.config.handshake_rtts * 2.0 * lat)
 

@@ -76,17 +76,9 @@ class NetworkTopology:
     discovered by the namenode and the jobtracker").
     """
 
-    #: Pair-cache entries before a wholesale reset (bounds memory on huge
-    #: all-to-all communication patterns).
-    _PAIR_CACHE_LIMIT = 262144
-
     def __init__(self, resolver: Optional[SiteResolver] = None) -> None:
         self._resolver = resolver or DnsSiteResolver()
         self._site_of: Dict[str, str] = {}
-        #: (a, b) → same-site? memo; the locality test is the hottest
-        #: lookup in the system (placement, scheduling, and every fabric
-        #: path computation go through it).
-        self._same_site_cache: Dict[tuple, bool] = {}
 
     def add_host(self, hostname: str) -> str:
         """Register ``hostname``; returns its site.  Idempotent."""
@@ -102,15 +94,10 @@ class NetworkTopology:
 
     def same_site(self, a: str, b: str) -> bool:
         """True if two hosts share a site (the locality test used by both
-        block placement and map-task scheduling).  Memoised per pair."""
-        key = (a, b)
-        hit = self._same_site_cache.get(key)
-        if hit is None:
-            hit = self.site_of(a) == self.site_of(b)
-            if len(self._same_site_cache) >= self._PAIR_CACHE_LIMIT:
-                self._same_site_cache.clear()
-            self._same_site_cache[key] = hit
-        return hit
+        block placement and map-task scheduling).  Two per-host lookups:
+        no state is kept per pair, since a many-to-many shuffle meets
+        almost every pair only once."""
+        return self.site_of(a) == self.site_of(b)
 
     def sites(self) -> List[str]:
         """All sites with at least one registered host."""

@@ -16,7 +16,6 @@ scale-sweep benchmark's every-scenario coverage section.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Sequence, Union
 
 from .runner import ScenarioRunner
@@ -48,5 +47,9 @@ def run_specs_parallel(specs: Sequence[Union[ScenarioSpec, str]],
                 for s in specs]
     if workers <= 1 or len(payloads) <= 1:
         return [run_spec_json(p) for p in payloads]
+    # Imported here, not at module level: the pool pulls in
+    # ``multiprocessing`` (with ``socket`` and ``queue``), which a process
+    # that only runs scenarios in-line would carry for nothing.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(run_spec_json, payloads))

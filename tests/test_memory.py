@@ -2,15 +2,21 @@
 
 A finished transfer or disk I/O must not sit in a reference cycle (its
 completion event pointing back at it), or every one of them waits for
-the cyclic collector; and the fabric keeps no state per host pair, since
-a many-to-many shuffle meets almost every pair only once.
+the cyclic collector; the fabric and the topology keep no state per host
+pair, since a many-to-many shuffle meets almost every pair only once;
+and a process that runs scenarios in-line does not load the process
+pool.
 """
 
 import contextlib
 import gc
+import os
+import subprocess
+import sys
 import types
 import weakref
 
+import repro
 from repro.net import FabricConfig, NetworkFabric, NetworkTopology
 from repro.scenarios import ScenarioRunner, registry
 from repro.scenarios import runner as runner_mod
@@ -73,15 +79,14 @@ class TestFinishedOperationsFreed:
             assert demand() is None
 
 
-def owned_objects(fabric) -> int:
-    """gc-tracked objects reachable from the fabric's own state, not
-    counting what it shares (simulator, topology, config, channel) or
-    code (classes, functions, modules)."""
-    shared = {id(fabric.sim), id(fabric.topology), id(fabric.config),
-              id(fabric.channel)}
+def owned_objects(owner, shared=()) -> int:
+    """gc-tracked objects reachable from ``owner``'s own state, not
+    counting the ``shared`` objects or code (classes, functions,
+    modules)."""
+    shared = {id(obj) for obj in shared}
     code = (type, types.FunctionType, types.ModuleType)
     seen = set()
-    stack = list(vars(fabric).values())
+    stack = list(vars(owner).values())
     while stack:
         obj = stack.pop()
         key = id(obj)
@@ -93,22 +98,51 @@ def owned_objects(fabric) -> int:
     return len(seen)
 
 
+def fabric_objects(fabric) -> int:
+    """Objects owned by the fabric alone: the simulator, topology,
+    config and channel it shares are not counted."""
+    return owned_objects(fabric, (fabric.sim, fabric.topology,
+                                  fabric.config, fabric.channel))
+
+
 class TestNoPerPairState:
-    def test_new_host_pairs_leave_fabric_state_flat(self):
-        sim, fabric = make_fabric()
-        hosts = [f"n{i}.site{i % 3}.edu" for i in range(12)]
-        pairs = [(a, b) for a in hosts for b in hosts if a != b]
-        # Warm-up: every NIC and every site's WAN legs exist afterwards.
-        warm = [(hosts[i], hosts[(i + k) % len(hosts)])
-                for i in range(len(hosts)) for k in (1, 3)]
-        for src, dst in warm:
-            sim.run(until=fabric.transfer(src, dst, 100.0))
-        before = owned_objects(fabric)
-        fresh = [p for p in pairs if p not in warm][:60]
-        for src, dst in fresh:
-            sim.run(until=fabric.transfer(src, dst, 100.0))
-        assert fabric.active_flows == 0
-        assert owned_objects(fabric) == before
+    def test_new_host_pairs_leave_fabric_and_topology_state_flat(self):
+        # With the collector off, no container a pair memo would fill
+        # (its key tuples, say) is untracked mid-test and missed.
+        with collector_off():
+            sim, fabric = make_fabric()
+            topology = fabric.topology
+            hosts = [f"n{i}.site{i % 3}.edu" for i in range(12)]
+            pairs = [(a, b) for a in hosts for b in hosts if a != b]
+            # Warm-up: every host is known, and every NIC and every
+            # site's WAN legs exist afterwards.
+            warm = [(hosts[i], hosts[(i + k) % len(hosts)])
+                    for i in range(len(hosts)) for k in (1, 3)]
+            for src, dst in warm:
+                sim.run(until=fabric.transfer(src, dst, 100.0))
+            before = fabric_objects(fabric), owned_objects(topology)
+            fresh = [p for p in pairs if p not in warm][:60]
+            for src, dst in fresh:
+                sim.run(until=fabric.transfer(src, dst, 100.0))
+                topology.distance(src, dst)
+            assert fabric.active_flows == 0
+            assert (fabric_objects(fabric), owned_objects(topology)) \
+                == before
+
+
+class TestScenarioProcessImports:
+    def test_importing_scenarios_leaves_the_process_pool_unloaded(self):
+        """Only ``run_specs_parallel``'s pool branch needs the pool; a
+        benchmark worker or CLI run that imports the scenarios package
+        must not carry ``multiprocessing`` for it."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.scenarios\n"
+                "print(sorted(m for m in ('concurrent.futures.process',"
+                " 'multiprocessing') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestScenarioGarbage:
