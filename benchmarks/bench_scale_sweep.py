@@ -213,6 +213,7 @@ def _run_once(n_nodes: int, scale: float, seed: int, scenario: str,
         "arrival_fast_paths": result.channel["arrival_fast_paths"],
         "departure_fast_paths": result.channel["departure_fast_paths"],
         "completion_fast_paths": result.channel["completion_fast_paths"],
+        "timer_reaims": result.channel["timer_reaims"],
         # Region-pass rounds that grew the region, and passes that pinned
         # a live uniform group.
         "region_expansions": result.channel["region_expansions"],

@@ -181,7 +181,7 @@ class HOGSystem:
             "uniform_joins", "uniform_pins",
             "cross_partition_passes", "arrival_fast_paths",
             "departure_fast_paths", "completion_fast_paths",
-            "starvation_rescues", "peak_demands",
+            "timer_reaims", "starvation_rescues", "peak_demands",
             "region_expansions", "pass_size_hist"))
         reg.bind_attrs("channel", self.fabric, ("peak_flows",))
         reg.bind_snapshot("control", self.control_plane_stats)

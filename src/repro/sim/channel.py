@@ -51,7 +51,9 @@ fair share, so one timer per bottleneck — aimed at that group's earliest
 finish — wakes the region at the exact next completion instant.  The
 resulting pass drains whatever finished, re-rates survivors, and re-arms.
 A live timer that fires at or before the new target is *kept* (it
-re-checks and re-aims), so slowdowns never allocate timers.
+re-checks and re-aims), so slowdowns never allocate timers.  A timer
+that fires early on a settled queue, before anything recorded there has
+drained, is re-aimed at the earliest finish without a pass.
 
 **Departures.**  An aborted demand (``remove``) marks its constraints
 dirty and the scheduled pass re-rates the survivors; a grouped one
@@ -667,6 +669,10 @@ class FairQueue:
         #: Always 0 (every abort takes the scheduled pass); kept because
         #: result readers still look the key up.
         self.departure_fast_paths = 0
+        #: Early bottleneck-timer firings resolved in place: nothing
+        #: recorded at the constraint had drained, so the timer was
+        #: re-aimed at the earliest finish there — no filling pass ran.
+        self.timer_reaims = 0
         #: Bottleneck-timer completions resolved in place: the lone
         #: drained demand was unregistered and completed directly because
         #: its departure provably freed nobody — no filling pass ran.
@@ -1353,12 +1359,49 @@ class FairQueue:
             constraint._timer_at = None
             if not constraint.demands:
                 return
-            if self._try_timer_completion(constraint):
+            if self._try_timer_completion(constraint) or \
+                    self._try_timer_reaim(constraint):
                 return
             self._dirty[constraint] = None
             self._mark_dirty()
 
         self.sim.call_at(fire_at, on_fire)
+
+    def _try_timer_reaim(self, constraint: Constraint) -> bool:
+        """Re-aim a bottleneck timer that fired early, without a pass.
+
+        A timer fires early when the demands it was aimed at were slowed
+        after it was armed.  While the queue is settled their rates are
+        certified max-min, so the pass it would schedule re-derives them
+        and only re-arms the timer: this re-arms it directly, at the
+        earliest finish among the demands recorded at ``constraint``.
+        Declines (the pass runs) when a demand there is grouped, starved
+        or unrated, or a recorded one has drained."""
+        if self._dirty or self._pass_scheduled or constraint.group is not None:
+            return False
+        now = self.sim.now
+        eta = float("inf")
+        for d in constraint.demands:
+            rate = d.rate
+            b = d._bneck
+            if d._group is not None or rate <= 0.0 or b is None:
+                return False
+            if b is not constraint:
+                continue  # woken by its own bottleneck's timer
+            dt = now - d._last_update
+            if dt > 0.0:
+                rem = d.remaining - rate * dt
+                d.remaining = rem if rem > 0.0 else 0.0
+                d._last_update = now
+            if d.remaining <= self.EPSILON:
+                return False
+            t = d.remaining / rate
+            if t < eta:
+                eta = t
+        self.timer_reaims += 1
+        if eta != float("inf"):
+            self._arm_bottleneck_timer(constraint, eta)
+        return True
 
     def _try_timer_completion(self, constraint: Constraint) -> bool:
         """Resolve a bottleneck-timer firing in place when the pass it

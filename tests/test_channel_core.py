@@ -733,6 +733,50 @@ class TestFastPathTieTolerance:
             assert live_rate(d) == pytest.approx(r, rel=1e-9)
 
 
+class TestEarlyTimerReaim:
+    def test_slowed_demand_timer_reaims_without_a_pass(self):
+        """A alone on c1 arms c1's timer for t=10; B arriving at t=2
+        (capped at 20 by c2) slows A to 80, due at 12.  The old timer
+        fires at 10 on a settled queue: it is re-aimed at 12 with no
+        pass, and A still finishes at exactly 12."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c1 = q.constraint("c1", 100.0)
+        c2 = q.constraint("c2", 20.0)
+        a = q.submit(1000.0, [c1])
+        assert q.arrival_fast_paths == 1 and c1._timer_at == 10.0
+        sim.run(until=2.0)
+        q.submit(1000.0, [c1, c2])
+        sim.run(until=sim.now)
+        assert a.rate == 80.0 and c1._timer_at == 10.0
+        passes = q.rebalances
+        sim.run(until=11.0)
+        assert q.timer_reaims == 1
+        assert q.rebalances == passes
+        assert c1._timer_at == 12.0
+        sim.run(until=a.done)
+        assert sim.now == 12.0
+
+    def test_drained_demand_still_takes_the_pass(self):
+        """A timer whose recorded demand has drained is not early: the
+        pass completes it and re-rates its sharer."""
+        sim = Simulator()
+        q = FairQueue(sim)
+        c1 = q.constraint("c1", 100.0)
+        c2 = q.constraint("c2", 20.0)
+        a = q.submit(1000.0, [c1])
+        sim.run(until=2.0)
+        b = q.submit(1000.0, [c1, c2])
+        sim.run(until=sim.now)
+        passes = q.rebalances
+        sim.run(until=a.done)
+        assert sim.now == 12.0
+        assert q.timer_reaims == 1  # the early firing at t=10 only
+        assert q.rebalances == passes + 1
+        sim.run(until=b.done)
+        assert sim.now == 52.0  # 1000 B at c2's 20 B/s from t=2
+
+
 class TestMultiBottleneckExactTimestamps:
     def test_two_bottlenecks_complete_at_exact_times(self):
         """A(c1) vs B(c1,c2): c2 caps B at 30, A mops up c1's rest."""
