@@ -259,14 +259,6 @@ class NetworkFabric:
         self._partitioned_sites.pop(site, None)
 
     # -- public API ------------------------------------------------------------
-    def latency(self, src: str, dst: str) -> float:
-        """One-way latency between two hosts."""
-        if src == dst:
-            return 0.0
-        if self.topology.same_site(src, dst):
-            return self.config.intra_site_latency
-        return self.config.inter_site_latency
-
     def transfer(self, src: str, dst: str, nbytes: float,
                  extra_constraints: Optional[Sequence[Constraint]] = None,
                  validate: Optional[Callable[[], bool]] = None) -> Event:
