@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..hdfs.client import HdfsClient
 from ..hdfs.config import GB, HdfsConfig, stock_hadoop_config
 from ..hdfs.datanode import Datanode
@@ -37,6 +35,7 @@ from ..mapreduce.tasktracker import TaskTracker
 from ..net.fabric import FabricConfig, NetworkFabric
 from ..net.topology import DnsSiteResolver, NetworkTopology
 from ..sim.engine import Simulator
+from ..sim.rng import RandomStream
 from ..storage.disk import Disk
 
 __all__ = ["NodeGroup", "DedicatedClusterConfig", "DedicatedCluster",
@@ -128,7 +127,7 @@ class DedicatedCluster:
         self.fabric = NetworkFabric(sim, self.topology, self.config.fabric)
         self.topology.add_host(self.config.master_host)
         placement = SiteAwarePolicy(
-            self.topology, np.random.default_rng(self.config.seed + 1))
+            self.topology, RandomStream(self.config.seed + 1))
         self.namenode = Namenode(sim, self.topology, placement, self.config.hdfs)
         self.namenode.start()
         self.jobtracker = JobTracker(sim, self.namenode, self.topology,

@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..hdfs.config import GB, stock_hadoop_config
 from ..mapreduce.config import stock_mr_config
 from ..mapreduce.job import JobSpec
 from ..sim.engine import Simulator
+from ..sim.rng import RandomStream
 from .dedicated import DedicatedCluster, DedicatedClusterConfig, NodeGroup
 
 __all__ = ["HODConfig", "HODJobResult", "HODRunner"]
@@ -87,7 +86,7 @@ class HODRunner:
     def __init__(self, config: Optional[HODConfig] = None, seed: int = 0) -> None:
         self.config = config or HODConfig()
         self.config.validate()
-        self.rng = np.random.default_rng(seed)
+        self.rng = RandomStream(seed)
 
     def _fresh_cluster(self, sim: Simulator) -> DedicatedCluster:
         cfg = DedicatedClusterConfig(

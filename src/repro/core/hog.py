@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..grid.condor import CondorSchedd
 from ..grid.glidein import GlideinFactory
 from ..grid.site import GridSite
@@ -28,6 +26,7 @@ from ..obs.registry import Registry
 from ..obs.trace import Tracer
 from ..sim.engine import Simulator
 from ..sim.monitor import StepSeries
+from ..sim.rng import RandomStream
 from ..storage.disk import Disk
 from .config import HOGConfig
 
@@ -111,7 +110,7 @@ class HOGSystem:
         self.sim = sim
         self.config = config or HOGConfig()
         self.config.validate()
-        self.rng = np.random.default_rng(self.config.seed)
+        self.rng = RandomStream(self.config.seed)
 
         resolver = (DnsSiteResolver() if self.config.site_awareness
                     else FlatResolver("flat-grid"))
@@ -128,7 +127,7 @@ class HOGSystem:
         self.physical_topology.add_host(self.config.central_host)
 
         placement = SiteAwarePolicy(
-            self.topology, np.random.default_rng(self.config.seed + 1))
+            self.topology, RandomStream(self.config.seed + 1))
         self.namenode = Namenode(sim, self.topology, placement, self.config.hdfs)
         self.namenode.start()
         self.jobtracker = JobTracker(sim, self.namenode, self.topology,
@@ -139,7 +138,7 @@ class HOGSystem:
         self.sites = [GridSite(sc) for sc in self.config.sites]
         self.factory = GlideinFactory(
             sim, self.schedd, self.sites, self.fabric,
-            np.random.default_rng(self.config.seed + 2),
+            RandomStream(self.config.seed + 2),
             node_start=self._node_start,
             node_preempt=self._node_preempt,
             node_shutdown=self._node_shutdown,

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..baselines.hod import HODConfig, HODRunner
 from ..grid.glidein import WrapperConfig
 from ..grid.site import SitePolicy
@@ -29,6 +27,7 @@ from ..hdfs.config import hog_config
 from ..mapreduce.config import hog_mr_config
 from ..metrics.report import WorkloadResult, format_table
 from ..scenarios import calibration
+from ..sim.rng import RandomStream
 from ..workload.schedule import build_facebook_schedule
 from .common import HogRunSettings, run_facebook_on_hog
 
@@ -161,8 +160,8 @@ def compare_hod(n_nodes: int = 55, seed: int = 10, scale: float = 0.25,
     settings = _base_settings(n_nodes, seed, calibration.stable_policy(), scale)
     hog_result = run_facebook_on_hog(settings)
 
-    rng = np.random.default_rng(seed + 77)
-    schedule = build_facebook_schedule(rng, calibration.default_loadgen(),
+    schedule = build_facebook_schedule(RandomStream(seed + 77),
+                                       calibration.default_loadgen(),
                                        scale=scale)
     runner = HODRunner(hod_config or HODConfig(nodes_per_request=n_nodes,
                                                map_slots_per_node=1,
@@ -174,6 +173,7 @@ def compare_hod(n_nodes: int = 55, seed: int = 10, scale: float = 0.25,
     t = 0.0
     for item, res in zip(schedule.jobs, results):
         t = max(t, item.submit_time) + res.response_time
+    import numpy as np
     overhead = float(np.mean([r.overhead_fraction for r in results]))
     return HodComparison(
         hog_response=hog_result.response_time,

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..baselines.dedicated import DedicatedClusterConfig, DedicatedCluster, table3_config
 from ..core.config import NodeConfig
 from ..grid.glidein import WrapperConfig
@@ -36,6 +34,7 @@ from ..scenarios import calibration
 from ..scenarios.runner import ScenarioRunner, collect_result, drive_workload
 from ..scenarios.spec import ClusterSpec, FaultSpec, ScenarioSpec, WorkloadSpec
 from ..sim.engine import Simulator
+from ..sim.rng import RandomStream
 from ..workload.schedule import LoadgenParams, build_facebook_schedule
 
 __all__ = ["HogRunSettings", "run_facebook_on_hog", "run_facebook_on_cluster",
@@ -118,9 +117,9 @@ def run_facebook_on_cluster(seed: int = 0, scale: float = 1.0,
     cfg = cluster_config or table3_config(fabric=calibration.cluster_fabric())
     cluster = DedicatedCluster(sim, cfg)
     sim.run(until=10.0)  # let daemons register
-    rng = np.random.default_rng(seed + 77)
     schedule = build_facebook_schedule(
-        rng, loadgen or calibration.default_loadgen(), scale=scale)
+        RandomStream(seed + 77), loadgen or calibration.default_loadgen(),
+        scale=scale)
     for input_file, n_blocks in schedule.inputs.items():
         cluster.preload_input(input_file, n_blocks)
 

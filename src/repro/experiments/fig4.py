@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..metrics.report import format_table
 from ..scenarios import ScenarioRunner, calibration, registry
 from .common import run_facebook_on_cluster
@@ -47,6 +45,7 @@ class Fig4Point:
     @property
     def mean_response(self) -> float:
         """Mean workload response over the runs."""
+        import numpy as np
         return float(np.mean(self.responses))
 
     @property

@@ -21,9 +21,7 @@ response, and among comparable runs the one with less area under the curve
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..grid.site import SitePolicy
 from ..metrics.report import format_table
@@ -43,7 +41,7 @@ class Fig5Run:
     response_time: float
     area: float
     #: (times, node counts) of the believed-node series over the run.
-    series: Tuple[np.ndarray, np.ndarray]
+    series: Tuple[Sequence[float], Sequence[float]]
 
     @property
     def mean_nodes(self) -> float:

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from ..net.fabric import NetworkFabric, TransferFailed
 from ..sim.engine import Simulator
 from ..sim.events import Interrupt
 from ..sim.monitor import CounterSet
+from ..sim.rng import RandomStream
 from .condor import CondorJobState, CondorSchedd, SubmissionFile
 from .site import GridSite
 
@@ -222,7 +221,7 @@ class GlideinFactory:
 
     def __init__(self, sim: Simulator, schedd: CondorSchedd,
                  sites: List[GridSite], fabric: NetworkFabric,
-                 rng: np.random.Generator,
+                 rng: RandomStream,
                  node_start: Callable,
                  node_preempt: Callable,
                  node_shutdown: Callable,
@@ -382,9 +381,10 @@ class GlideinFactory:
                           and self._site_by_name[name].free_slots > 0]
             if not candidates:
                 break  # grid is full for us this cycle
-            weights = np.array([float(s.free_slots) for s in candidates])
-            pick = candidates[int(self.rng.choice(len(candidates),
-                                                  p=weights / weights.sum()))]
+            slots = [s.free_slots for s in candidates]
+            total = sum(slots)
+            pick = candidates[int(self.rng.choice(
+                len(candidates), p=[n / total for n in slots]))]
             glidein.match(pick)
             self.counters.incr("glideins_matched")
 

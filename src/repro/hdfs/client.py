@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..net.fabric import NetworkFabric
 from ..sim.engine import Simulator
 from ..sim.events import Process

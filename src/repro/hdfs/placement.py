@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..net.topology import NetworkTopology
+from ..sim.rng import RandomStream
 
 __all__ = ["SiteAwarePolicy", "LiveHostIndex"]
 
@@ -115,7 +114,7 @@ class SiteAwarePolicy:
        replicas so far, random node within the domain.
     """
 
-    def __init__(self, topology: NetworkTopology, rng: np.random.Generator) -> None:
+    def __init__(self, topology: NetworkTopology, rng: RandomStream) -> None:
         self.topology = topology
         self.rng = rng
 

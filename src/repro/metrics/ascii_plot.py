@@ -2,14 +2,13 @@
 
 Renders step series (Figure 5's node counts) and x/y scatter-lines
 (Figure 4's response-vs-nodes curve) as fixed-width character grids for
-benchmark logs and EXPERIMENTS.md.
+benchmark logs and EXPERIMENTS.md.  numpy is imported inside the
+plotting functions, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence
 
 __all__ = ["plot_series", "plot_xy"]
 
@@ -28,10 +27,12 @@ def _render(grid: list, ylabels: Sequence[str], xlabel: str) -> str:
     return "\n".join(lines)
 
 
-def plot_series(times: np.ndarray, values: np.ndarray, width: int = 72,
-                height: int = 14, title: Optional[str] = None,
+def plot_series(times: Sequence[float], values: Sequence[float],
+                width: int = 72, height: int = 14,
+                title: Optional[str] = None,
                 y_max: Optional[float] = None) -> str:
     """Render a right-continuous step series (e.g. node count vs time)."""
+    import numpy as np
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size == 0:
@@ -64,6 +65,7 @@ def plot_xy(xs: Sequence[float], ys: Sequence[float], width: int = 72,
             logx: bool = False) -> str:
     """Render y-vs-x points joined column-wise (Figure 4 style), with an
     optional horizontal reference line (the cluster's response)."""
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:

@@ -27,8 +27,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from ..metrics.ascii_plot import plot_series
 from .diff import Thresholds, diff_reports
 
@@ -122,7 +120,7 @@ def _render_result(record: dict, width: int, plots: bool) -> str:
                     continue
                 out.append("")
                 out.append(plot_series(
-                    np.asarray(ts), np.asarray(vs), width=width,
+                    ts, vs, width=width,
                     title=f"{phase}: {gname} "
                           f"(n={len(ts)}, max={max(vs):g})"))
     elif timelines:

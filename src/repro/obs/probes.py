@@ -101,7 +101,7 @@ class ProbeSet:
             if len(s) == 0:
                 continue
             times, values = s.downsample(max_points) if max_points \
-                else (list(s.times), list(s.values))
+                else (s.times, s.values)
             out[name] = {"t": [round(float(t), 3) for t in times],
                          "v": [float(v) for v in values]}
         return out

@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..core.config import HOGConfig
 from ..core.hog import PARK_KEYS, HOGSystem
 from ..faults.injector import Injector
@@ -46,6 +44,7 @@ from ..obs.trace import Tracer
 from ..sim.engine import Simulator
 from ..sim.events import EngineProfile
 from ..sim.monitor import StepSeries
+from ..sim.rng import RandomStream
 from ..workload.schedule import SubmissionSchedule, build_facebook_schedule
 from . import calibration
 from .spec import ScenarioSpec
@@ -341,9 +340,9 @@ class ScenarioRunner:
         w = self.spec.workload
         if w.schedule is not None:
             return w.schedule
-        rng = np.random.default_rng(self.spec.seed + 77)
         return build_facebook_schedule(
-            rng, w.loadgen or calibration.default_loadgen(),
+            RandomStream(self.spec.seed + 77),
+            w.loadgen or calibration.default_loadgen(),
             mean_interarrival=w.mean_interarrival, scale=w.scale)
 
     # -- execution ---------------------------------------------------------

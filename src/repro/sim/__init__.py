@@ -7,7 +7,7 @@ Public surface:
   — event primitives (fan-in: :func:`repro.sim.util.gather_safe`).
 - :class:`FairQueue`, :class:`Constraint`, :class:`Demand` — the unified
   max-min fair shared-resource core (network + disk rate sharing).
-- :class:`RngRegistry` — reproducible named random streams.
+- :class:`RandomStream` — numpy's ``default_rng`` draws in pure Python.
 - :class:`StepSeries`, :class:`CounterSet` — measurement.
 """
 
@@ -15,7 +15,7 @@ from .channel import Constraint, Demand, FairQueue
 from .engine import EmptySchedule, Simulator
 from .events import CallbackTimer, Event, Interrupt, Process, Timeout
 from .monitor import CounterSet, StepSeries
-from .rng import RngRegistry
+from .rng import RandomStream
 
 __all__ = [
     "Simulator",
@@ -28,7 +28,7 @@ __all__ = [
     "CallbackTimer",
     "Process",
     "Interrupt",
-    "RngRegistry",
+    "RandomStream",
     "StepSeries",
     "CounterSet",
 ]

@@ -10,8 +10,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = ["StepSeries", "CounterSet"]
 
 
@@ -34,14 +32,14 @@ class StepSeries:
         return len(self._times)
 
     @property
-    def times(self) -> np.ndarray:
-        """Change-point times as an array."""
-        return np.asarray(self._times, dtype=float)
+    def times(self) -> List[float]:
+        """Change-point times (a copy)."""
+        return list(self._times)
 
     @property
-    def values(self) -> np.ndarray:
-        """Values holding from the corresponding change point."""
-        return np.asarray(self._values, dtype=float)
+    def values(self) -> List[float]:
+        """Values holding from the corresponding change point (a copy)."""
+        return list(self._values)
 
     def record(self, t: float, value: float) -> None:
         """Append ``value`` holding from time ``t``.
@@ -112,9 +110,12 @@ class StepSeries:
             raise ValueError("empty series")
         return min(self._values)
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, values)`` arrays (copies)."""
-        return self.times, self.values
+    def as_arrays(self):
+        """Return ``(times, values)`` as numpy arrays (copies).  numpy is
+        imported here, so the simulation itself never loads it."""
+        import numpy as np
+        return (np.asarray(self._times, dtype=float),
+                np.asarray(self._values, dtype=float))
 
     def downsample(self, max_points: int) -> Tuple[List[float], List[float]]:
         """Return ``(times, values)`` lists with at most ``max_points``

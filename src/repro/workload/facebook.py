@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
+from ..sim.rng import RandomStream
 
 __all__ = [
     "FacebookBin",
@@ -85,8 +85,8 @@ def benchmark_job_mix() -> List[FacebookBin]:
     return mix
 
 
-def sample_interarrivals(n: int, rng: np.random.Generator,
-                         mean: float = MEAN_INTERARRIVAL) -> np.ndarray:
+def sample_interarrivals(n: int, rng: RandomStream,
+                         mean: float = MEAN_INTERARRIVAL) -> Sequence[float]:
     """Exponential inter-arrival gaps for ``n`` submissions."""
     if n < 0:
         raise ValueError("n cannot be negative")

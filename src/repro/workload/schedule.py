@@ -9,12 +9,12 @@ jobs against them on an exponential schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..mapreduce.job import JobSpec
+from ..sim.rng import RandomStream
 from .facebook import (
     MEAN_INTERARRIVAL,
     FacebookBin,
@@ -83,7 +83,7 @@ class SubmissionSchedule:
 
 
 def build_facebook_schedule(
-        rng: np.random.Generator,
+        rng: RandomStream,
         params: Optional[LoadgenParams] = None,
         mean_interarrival: float = MEAN_INTERARRIVAL,
         bins: Optional[Sequence[FacebookBin]] = None,
@@ -120,7 +120,7 @@ def build_facebook_schedule(
 
     order = rng.permutation(len(mix))
     gaps = sample_interarrivals(len(mix), rng, mean_interarrival)
-    submit_times = np.cumsum(gaps)
+    submit_times = list(accumulate(gaps))
 
     inputs: Dict[str, int] = {}
     jobs: List[ScheduledJob] = []

@@ -4,8 +4,8 @@ A finished transfer or disk I/O must not sit in a reference cycle (its
 completion event pointing back at it), or every one of them waits for
 the cyclic collector; the fabric and the topology keep no state per host
 pair, since a many-to-many shuffle meets almost every pair only once;
-and a process that runs scenarios in-line does not load the process
-pool.
+and a process that runs scenarios in-line loads neither the process pool
+nor numpy.
 """
 
 import contextlib
@@ -131,18 +131,45 @@ class TestNoPerPairState:
 
 
 class TestScenarioProcessImports:
+    @staticmethod
+    def loaded_after(code: str, watched) -> str:
+        """Run ``code`` in a fresh interpreter; the printed sorted list of
+        the ``watched`` modules it leaves loaded."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code += (f"\nimport sys\nprint(sorted(m for m in {tuple(watched)!r}"
+                 " if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip().splitlines()[-1]
+
     def test_importing_scenarios_leaves_the_process_pool_unloaded(self):
         """Only ``run_specs_parallel``'s pool branch needs the pool; a
         benchmark worker or CLI run that imports the scenarios package
         must not carry ``multiprocessing`` for it."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        code = ("import sys, repro.scenarios\n"
-                "print(sorted(m for m in ('concurrent.futures.process',"
-                " 'multiprocessing') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert self.loaded_after(
+            "import repro.scenarios",
+            ("concurrent.futures.process", "multiprocessing")) == "[]"
+
+    def test_importing_scenarios_leaves_numpy_unloaded(self):
+        """The simulation draws from ``repro.sim.rng.RandomStream``;
+        numpy is a test and plotting dependency only."""
+        assert self.loaded_after("import repro.scenarios",
+                                 ("numpy",)) == "[]"
+
+    def test_a_scenario_run_leaves_numpy_unloaded(self):
+        """A lazy import that fires during a run counts too: probes and
+        the invariant checker are on."""
+        code = ("from repro.scenarios import ScenarioRunner, registry\n"
+                "spec = registry.build('blackout', n_nodes=24, scale=0.02,"
+                " seed=1)\n"
+                "spec.obs.sample_interval = 5.0\n"
+                "spec.obs.check_invariants = True\n"
+                "spec.obs.invariant_interval = 60.0\n"
+                "result = ScenarioRunner(spec).run()\n"
+                "assert result.jobs_completed > 0\n"
+                "assert result.timelines\n")
+        assert self.loaded_after(code, ("numpy",)) == "[]"
 
 
 class TestScenarioGarbage:

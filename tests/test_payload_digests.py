@@ -1,8 +1,8 @@
 """Fast-tier wiring for ``tools/payload_digests.py``.
 
 The smoke mode runs one tiny scenario twice on this tree, in two child
-processes, and must report identical digests; ``compare`` must count a
-run whose digest moved.
+processes, and must report identical digests under a header line naming
+the digest key; ``compare`` must count a run whose digest moved.
 """
 
 import subprocess
@@ -21,6 +21,9 @@ def test_smoke_mode_matches_the_same_tree():
          "--smoke"], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 of 1 runs differ" in proc.stdout
+    # The digest key header: what the digests depend on.
+    assert proc.stdout.startswith("# python ")
+    assert "| platform " in proc.stdout.splitlines()[0]
 
 
 def test_compare_counts_a_moved_digest(capsys):

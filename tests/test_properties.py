@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,7 +10,7 @@ from repro.net import (
     NetworkFabric,
     NetworkTopology,
 )
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.sim.util import gather_safe
 from repro.storage import Disk
 
@@ -96,22 +95,6 @@ class TestStepSeriesProperties:
     def test_constant_series_area_exact(self, value, duration):
         s = StepSeries(initial=value)
         assert s.integrate(0.0, duration) == pytest.approx(value * duration)
-
-
-class TestRngProperties:
-    @given(st.integers(min_value=0, max_value=2**31),
-           st.text(alphabet="abcdefgh", min_size=1, max_size=8))
-    def test_same_seed_same_stream(self, seed, name):
-        a = RngRegistry(seed).stream(name).random(8)
-        b = RngRegistry(seed).stream(name).random(8)
-        assert np.array_equal(a, b)
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    def test_different_names_differ(self, seed):
-        reg = RngRegistry(seed)
-        a = reg.stream("alpha").random(8)
-        b = reg.stream("beta").random(8)
-        assert not np.array_equal(a, b)
 
 
 class TestFabricProperties:

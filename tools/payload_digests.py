@@ -23,6 +23,11 @@ Usage::
     python tools/payload_digests.py --against OTHER/src  # compare trees
     python tools/payload_digests.py --smoke              # tiny self-check
 
+The first line of output names the digest key: ``sys.version`` and
+``platform.platform()``.  The simulation draws its randomness from
+``repro.sim.rng`` rather than numpy, so digests from two hosts with the
+same key are comparable whatever numpy they have installed.
+
 ``--against`` runs both trees (this one and ``OTHER/src``) in two child
 processes and exits 1 when any run's payload without ``events`` differs;
 ``--ignore-channel`` compares the digest without ``channel`` instead,
@@ -36,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from typing import Dict, List, Tuple
@@ -143,6 +149,13 @@ def _collect(proc: subprocess.Popen, src: str) -> List[Dict[str, object]]:
     return json.loads(out)
 
 
+def digest_key() -> str:
+    """The header line naming what the digests depend on: the Python
+    build (its float formatting) and the platform (its libm)."""
+    version = " ".join(sys.version.split())
+    return f"# python {version} | platform {platform.platform()}"
+
+
 def _print_rows(rows: List[Dict[str, object]]) -> None:
     print(f"{'run':34} {'payload-events':16} {'-channel':16} "
           f"{'events':>8} {'dep_fp':>6} {'ties':>4} {'viol':>4}")
@@ -207,6 +220,7 @@ def main(argv=None) -> int:
         return 0
     other = os.path.abspath(args.against) if args.against else (
         src if args.smoke else None)
+    print(digest_key())
     if other is None:
         _print_rows(_collect(_child(src, args.smoke), src))
         return 0
